@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-json bench-exec experiments examples clean
+.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-json bench-exec experiments examples clean
 
 all: build test
 
@@ -29,6 +29,14 @@ check:
 	$(MAKE) status-smoke
 	$(MAKE) chaos-recover
 	$(MAKE) transport-smoke
+	$(MAKE) fuzz-smoke
+
+# Fuzz gate: a short native-fuzzing pass per target (stdlib testing.F;
+# seed corpora live under each package's testdata/fuzz/). Fuzz targets are
+# named Fuzz<Thing>; each gets one line here. A failing input is written
+# to testdata/fuzz/ and replays as a regular test from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFilterRow$$' -fuzztime 10s ./internal/filter/
 
 # Telemetry artifact gate: a tiny distributed reconstruction with tracing
 # and metrics on, then the artifact validators. Catches any drift in the

@@ -1,8 +1,9 @@
 // Package fft provides the fast Fourier transform primitives used by the
 // filtering stage of the FBP pipeline (Equation 2 of the paper). The paper
 // performs row filtering with Intel IPP on the host CPU; this package is the
-// stdlib-only substitute: an iterative radix-2 Cooley–Tukey transform plus a
-// real-input convolution helper sized for ramp filtering.
+// stdlib-only substitute: a radix-2² transform whose forward pass leaves its
+// spectrum in bit-reversed order and whose inverse consumes it there, so
+// filtering never runs a permutation pass.
 package fft
 
 import (
@@ -22,14 +23,26 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// Plan caches the bit-reversal permutation and twiddle factors for
-// transforms of a fixed power-of-two size, so repeated row filtering does
-// not recompute trigonometry. A Plan is safe for concurrent use once built.
+// Plan caches the twiddle factors of complex transforms of one power-of-two
+// size n. The forward transform is decimation-in-frequency (natural order
+// in, bit-reversed order out) and the inverse the matching
+// decimation-in-time transform (bit-reversed in, natural out), so a
+// spectrum that is only scaled in between never needs reordering. Both run
+// radix-2² passes — the butterflies of two radix-2 stages fused over four
+// points, three twiddle multiplies instead of four — after (forward) or
+// before (inverse) one radix-2 stage when log₂n is odd. A Plan is safe for
+// concurrent use once built.
 type Plan struct {
-	n   int
-	rev []int
-	// cos/sin tables per butterfly stage, laid out stage-major.
-	cos, sin []float64
+	n    int
+	logn int
+	// r2 holds cos, sin of 2πj/n for j < n/2: the radix-2 stage, present
+	// when log₂n is odd.
+	r2 []float64
+	// r4[s] holds c1, s1, c2, s2, c3, s3 — cos, sin of 2πj/L, 4πj/L,
+	// 6πj/L — for j < L/4, for the s-th radix-2² pass of Forward, whose
+	// blocks have size L = 4·len(r4[s])/6 >= 16. The last pass (L = 4)
+	// needs no twiddles.
+	r4 [][]float64
 }
 
 // NewPlan builds a transform plan of size n, which must be a power of two.
@@ -37,176 +50,194 @@ func NewPlan(n int) (*Plan, error) {
 	if !IsPow2(n) {
 		return nil, fmt.Errorf("fft: size %d is not a power of two", n)
 	}
-	p := &Plan{n: n}
-	p.rev = make([]int, n)
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	if n == 1 {
-		shift = 64
-	}
-	for i := range p.rev {
-		p.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
-	}
-	// Twiddles: for each stage size m (2,4,...,n) we need m/2 factors
-	// w_m^j = exp(-2πi·j/m). Total is n-1 entries.
-	p.cos = make([]float64, 0, n)
-	p.sin = make([]float64, 0, n)
-	for m := 2; m <= n; m <<= 1 {
-		for j := 0; j < m/2; j++ {
-			a := -2 * math.Pi * float64(j) / float64(m)
-			p.cos = append(p.cos, math.Cos(a))
-			p.sin = append(p.sin, math.Sin(a))
+	p := &Plan{n: n, logn: bits.Len(uint(n)) - 1}
+	L := n
+	if p.logn%2 == 1 {
+		p.r2 = make([]float64, n)
+		for j := 0; j < n/2; j++ {
+			p.r2[2*j], p.r2[2*j+1] = cosSin(j, n)
 		}
+		L = n / 2
+	}
+	for ; L >= 16; L /= 4 {
+		t := make([]float64, 6*(L/4))
+		for j := 0; j < L/4; j++ {
+			t[6*j], t[6*j+1] = cosSin(j, L)
+			t[6*j+2], t[6*j+3] = cosSin(2*j, L)
+			t[6*j+4], t[6*j+5] = cosSin(3*j, L)
+		}
+		p.r4 = append(p.r4, t)
 	}
 	return p, nil
 }
 
-// Size returns the transform length.
-func (p *Plan) Size() int { return p.n }
+// cosSin returns cos and sin of 2πk/L.
+func cosSin(k, L int) (float64, float64) {
+	s, c := math.Sincos(2 * math.Pi * float64(k) / float64(L))
+	return c, s
+}
+
+// Bin returns the frequency index whose coefficient Forward stores at
+// position pos (and the inverse expects there): the bit reversal of pos.
+func (p *Plan) Bin(pos int) int {
+	if p.logn == 0 {
+		return 0
+	}
+	return int(bits.Reverse(uint(pos)) >> (bits.UintSize - p.logn))
+}
 
 // Forward computes the in-place forward DFT of the complex sequence given as
-// separate real and imaginary slices, each of length Size.
-func (p *Plan) Forward(re, im []float64) error { return p.transform(re, im, false) }
+// separate real and imaginary slices, each of length n. The output is in
+// bit-reversed order: bin Bin(i) lands at index i. (The inverse, dit, runs
+// inside RealFilter.Apply.)
+func (p *Plan) Forward(re, im []float64) error {
+	if err := p.check(re, im); err != nil {
+		return err
+	}
+	p.dif(re, im, false)
+	return nil
+}
 
-// Inverse computes the in-place inverse DFT (including the 1/n scaling).
-func (p *Plan) Inverse(re, im []float64) error { return p.transform(re, im, true) }
+func (p *Plan) check(re, im []float64) error {
+	if len(re) != p.n || len(im) != p.n {
+		return fmt.Errorf("fft: input length %d/%d, plan size %d", len(re), len(im), p.n)
+	}
+	return nil
+}
 
-func (p *Plan) transform(re, im []float64, inverse bool) error {
+// dif runs the forward passes. With zeroTop the upper half of the input is
+// taken as zero and never read: the first pass skips its loads and adds.
+func (p *Plan) dif(re, im []float64, zeroTop bool) {
 	n := p.n
-	if len(re) != n || len(im) != n {
-		return fmt.Errorf("fft: input length %d/%d, plan size %d", len(re), len(im), n)
-	}
-	// Bit-reversal permutation.
-	for i, r := range p.rev {
-		if i < r {
-			re[i], re[r] = re[r], re[i]
-			im[i], im[r] = im[r], im[i]
+	if p.r2 != nil {
+		h := n / 2
+		rl, rh, il, ih := re[:h], re[h:][:h], im[:h], im[h:][:h]
+		for j := range rl {
+			ar, ai := rl[j], il[j]
+			br, bi := ar, ai
+			if !zeroTop {
+				br, bi = rh[j], ih[j]
+				rl[j], il[j] = ar+br, ai+bi
+				br, bi = ar-br, ai-bi
+			}
+			w := p.r2[2*j : 2*j+2 : 2*j+2]
+			rh[j], ih[j] = br*w[0]+bi*w[1], bi*w[0]-br*w[1]
 		}
+		zeroTop = false
 	}
-	// Iterative butterflies. The twiddle table stores exp(-2πij/m); the
-	// inverse transform conjugates it.
-	tw := 0
-	for m := 2; m <= n; m <<= 1 {
-		half := m / 2
-		for base := 0; base < n; base += m {
-			for j := 0; j < half; j++ {
-				wr := p.cos[tw+j]
-				wi := p.sin[tw+j]
-				if inverse {
-					wi = -wi
+	for _, t := range p.r4 {
+		L := 4 * len(t) / 6
+		q := L / 4
+		for base := 0; base < n; base += L {
+			r0, r1, r2, r3 := quarters(re[base:], q)
+			i0, i1, i2, i3 := quarters(im[base:], q)
+			for j := range r0 {
+				x0r, x0i, x1r, x1i := r0[j], i0[j], r1[j], i1[j]
+				ar, ai, br, bi := x0r, x0i, x1r, x1i
+				cr, ci, dr, di := x0r, x0i, x1r, x1i
+				if !zeroTop {
+					x2r, x2i, x3r, x3i := r2[j], i2[j], r3[j], i3[j]
+					ar, ai, br, bi = x0r+x2r, x0i+x2i, x1r+x3r, x1i+x3i
+					cr, ci, dr, di = x0r-x2r, x0i-x2i, x1r-x3r, x1i-x3i
 				}
-				a := base + j
-				b := a + half
-				tr := wr*re[b] - wi*im[b]
-				ti := wr*im[b] + wi*re[b]
-				re[b] = re[a] - tr
-				im[b] = im[a] - ti
-				re[a] += tr
-				im[a] += ti
+				// out0 = a+b, out1 = (a−b)·W^{2j}, out2 = (c−id)·W^{j},
+				// out3 = (c+id)·W^{3j}, with W = exp(−2πi/L).
+				w := t[6*j : 6*j+6 : 6*j+6]
+				ur, ui := ar-br, ai-bi
+				vr, vi := cr+di, ci-dr
+				wr, wi := cr-di, ci+dr
+				r0[j], i0[j] = ar+br, ai+bi
+				r1[j], i1[j] = ur*w[2]+ui*w[3], ui*w[2]-ur*w[3]
+				r2[j], i2[j] = vr*w[0]+vi*w[1], vi*w[0]-vr*w[1]
+				r3[j], i3[j] = wr*w[4]+wi*w[5], wi*w[4]-wr*w[5]
 			}
 		}
-		tw += half
+		zeroTop = false
 	}
-	if inverse {
-		inv := 1 / float64(n)
-		for i := range re {
-			re[i] *= inv
-			im[i] *= inv
+	if n < 4 {
+		return
+	}
+	for base := 0; base < n; base += 4 {
+		r, i := re[base:][:4], im[base:][:4]
+		x0r, x0i, x1r, x1i := r[0], i[0], r[1], i[1]
+		ar, ai, br, bi := x0r, x0i, x1r, x1i
+		cr, ci, dr, di := x0r, x0i, x1r, x1i
+		if !zeroTop {
+			ar, ai, br, bi = x0r+r[2], x0i+i[2], x1r+r[3], x1i+i[3]
+			cr, ci, dr, di = x0r-r[2], x0i-i[2], x1r-r[3], x1i-i[3]
+		}
+		r[0], i[0] = ar+br, ai+bi
+		r[1], i[1] = ar-br, ai-bi
+		r[2], i[2] = cr+di, ci-dr
+		r[3], i[3] = cr-di, ci+dr
+	}
+}
+
+// dit runs the inverse passes, bit-reversed order in and natural order
+// out, unscaled: it returns n times the inverse DFT. It undoes dif's
+// butterflies in reverse order with conjugate twiddles. With lowOnly only the lower half of the output is produced;
+// the last pass skips the stores (and adds) of the upper half.
+func (p *Plan) dit(re, im []float64, lowOnly bool) {
+	n := p.n
+	low := lowOnly && n == 4
+	for base := 0; n >= 4 && base < n; base += 4 {
+		r, i := re[base:][:4], im[base:][:4]
+		ar, ai := r[0]+r[1], i[0]+i[1]
+		br, bi := r[0]-r[1], i[0]-i[1]
+		cr, ci := r[2]+r[3], i[2]+i[3]
+		dr, di := i[3]-i[2], r[2]-r[3]
+		r[0], i[0] = ar+cr, ai+ci
+		r[1], i[1] = br+dr, bi+di
+		if !low {
+			r[2], i[2] = ar-cr, ai-ci
+			r[3], i[3] = br-dr, bi-di
 		}
 	}
-	return nil
-}
-
-// Convolver performs repeated linear convolution of real signals of length
-// signalLen with a fixed real kernel, via frequency-domain multiplication.
-// It is the workhorse of detector-row ramp filtering: one Convolver is built
-// per (row length, filter) pair and reused across all rows and projections.
-// Both the signal and the kernel are real, so the transforms run through a
-// RealPlan: half the butterfly work of the complex path per row.
-type Convolver struct {
-	plan      *RealPlan
-	kre, kim  []float64 // kernel half-spectrum, bins 0..n/2
-	signalLen int
-}
-
-// NewConvolver builds a convolver for signals of length signalLen and the
-// given kernel. The FFT size is the next power of two >= signalLen +
-// len(kernel) − 1, which makes the circular convolution linear.
-func NewConvolver(signalLen int, kernel []float64) (*Convolver, error) {
-	if signalLen <= 0 {
-		return nil, fmt.Errorf("fft: signal length %d must be positive", signalLen)
+	for s := len(p.r4) - 1; s >= 0; s-- {
+		t := p.r4[s]
+		L := 4 * len(t) / 6
+		q := L / 4
+		low := lowOnly && L == n
+		for base := 0; base < n; base += L {
+			r0, r1, r2, r3 := quarters(re[base:], q)
+			i0, i1, i2, i3 := quarters(im[base:], q)
+			for j := range r0 {
+				w := t[6*j : 6*j+6 : 6*j+6]
+				ur, ui := r1[j]*w[2]-i1[j]*w[3], i1[j]*w[2]+r1[j]*w[3]
+				vr, vi := r2[j]*w[0]-i2[j]*w[1], i2[j]*w[0]+r2[j]*w[1]
+				wr, wi := r3[j]*w[4]-i3[j]*w[5], i3[j]*w[4]+r3[j]*w[5]
+				// 2a = out0 + out1', 2b = out0 − out1', 2c = out2' + out3',
+				// 2d = i·(out2' − out3'); then x0 ∝ a+c, x1 ∝ b+d,
+				// x2 ∝ a−c, x3 ∝ b−d.
+				ar, ai := r0[j]+ur, i0[j]+ui
+				br, bi := r0[j]-ur, i0[j]-ui
+				cr, ci := vr+wr, vi+wi
+				dr, di := wi-vi, vr-wr
+				r0[j], i0[j] = ar+cr, ai+ci
+				r1[j], i1[j] = br+dr, bi+di
+				if !low {
+					r2[j], i2[j] = ar-cr, ai-ci
+					r3[j], i3[j] = br-dr, bi-di
+				}
+			}
+		}
 	}
-	if len(kernel) == 0 {
-		return nil, fmt.Errorf("fft: empty kernel")
-	}
-	n := NextPow2(signalLen + len(kernel) - 1)
-	if n < 2 {
-		n = 2 // RealPlan needs an even length; padding stays linear
-	}
-	plan, err := NewRealPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	c := &Convolver{plan: plan, signalLen: signalLen}
-	x := make([]float64, n)
-	copy(x, kernel)
-	c.kre = make([]float64, plan.SpectrumLen())
-	c.kim = make([]float64, plan.SpectrumLen())
-	if err := plan.Forward(x, c.kre, c.kim); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// FFTSize returns the internal transform length.
-func (c *Convolver) FFTSize() int { return c.plan.n }
-
-// Scratch holds per-goroutine workspace for Convolve so concurrent row
-// filtering does not allocate per call.
-type Scratch struct {
-	x      []float64 // real samples, length n
-	re, im []float64 // half-spectrum, length n/2+1
-}
-
-// NewScratch allocates workspace matching the convolver's FFT size.
-func (c *Convolver) NewScratch() *Scratch {
-	m := c.plan.SpectrumLen()
-	return &Scratch{
-		x:  make([]float64, c.plan.n),
-		re: make([]float64, m),
-		im: make([]float64, m),
+	if p.r2 != nil {
+		h := n / 2
+		rl, rh, il, ih := re[:h], re[h:][:h], im[:h], im[h:][:h]
+		for j := range rl {
+			w := p.r2[2*j : 2*j+2 : 2*j+2]
+			br, bi := rh[j]*w[0]-ih[j]*w[1], ih[j]*w[0]+rh[j]*w[1]
+			ar, ai := rl[j], il[j]
+			rl[j], il[j] = ar+br, ai+bi
+			if !lowOnly {
+				rh[j], ih[j] = ar-br, ai-bi
+			}
+		}
 	}
 }
 
-// Convolve computes the linear convolution of signal with the kernel and
-// writes the central signalLen samples (aligned so output index i
-// corresponds to Σ_j signal[j]·kernel[center+i−j], with center =
-// len(kernel)/2) into dst. signal and dst must have length signalLen; they
-// may alias.
-func (c *Convolver) Convolve(dst, signal []float32, center int, s *Scratch) error {
-	if len(signal) != c.signalLen || len(dst) != c.signalLen {
-		return fmt.Errorf("fft: signal/dst length %d/%d, want %d", len(signal), len(dst), c.signalLen)
-	}
-	for i := 0; i < c.signalLen; i++ {
-		s.x[i] = float64(signal[i])
-	}
-	for i := c.signalLen; i < c.plan.n; i++ {
-		s.x[i] = 0
-	}
-	if err := c.plan.Forward(s.x, s.re, s.im); err != nil {
-		return err
-	}
-	// Bins 0 and n/2 have exactly zero imaginary parts on both sides, so
-	// the product spectrum keeps the Hermitian form Inverse expects.
-	for k := range s.re {
-		r := s.re[k]*c.kre[k] - s.im[k]*c.kim[k]
-		m := s.re[k]*c.kim[k] + s.im[k]*c.kre[k]
-		s.re[k], s.im[k] = r, m
-	}
-	if err := c.plan.Inverse(s.re, s.im, s.x); err != nil {
-		return err
-	}
-	for i := 0; i < c.signalLen; i++ {
-		dst[i] = float32(s.x[i+center])
-	}
-	return nil
+// quarters splits the block starting at b into its four length-q quarters.
+func quarters(b []float64, q int) (x0, x1, x2, x3 []float64) {
+	return b[:q], b[q:][:q], b[2*q:][:q], b[3*q:][:q]
 }

@@ -57,7 +57,7 @@ func TestNewPlanRejectsNonPow2(t *testing.T) {
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 256, 512} {
 		re := make([]float64, n)
 		im := make([]float64, n)
 		for i := range re {
@@ -72,9 +72,16 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 		if err := p.Forward(re, im); err != nil {
 			t.Fatal(err)
 		}
+		// Forward leaves bin Bin(i) at index i; Bin must be a permutation.
+		seen := make([]bool, n)
 		for i := range re {
-			if math.Abs(re[i]-wantR[i]) > 1e-9*float64(n) || math.Abs(im[i]-wantI[i]) > 1e-9*float64(n) {
-				t.Fatalf("n=%d: bin %d = (%g,%g), want (%g,%g)", n, i, re[i], im[i], wantR[i], wantI[i])
+			k := p.Bin(i)
+			if k < 0 || k >= n || seen[k] {
+				t.Fatalf("n=%d: Bin(%d) = %d is not a permutation", n, i, k)
+			}
+			seen[k] = true
+			if math.Abs(re[i]-wantR[k]) > 1e-9*float64(n) || math.Abs(im[i]-wantI[k]) > 1e-9*float64(n) {
+				t.Fatalf("n=%d: bin %d = (%g,%g), want (%g,%g)", n, k, re[i], im[i], wantR[k], wantI[k])
 			}
 		}
 	}
@@ -85,29 +92,34 @@ func TestForwardRejectsWrongLength(t *testing.T) {
 	if err := p.Forward(make([]float64, 4), make([]float64, 8)); err == nil {
 		t.Fatal("expected length error")
 	}
-	if err := p.Inverse(make([]float64, 8), make([]float64, 4)); err == nil {
+	if err := p.Forward(make([]float64, 8), make([]float64, 9)); err == nil {
 		t.Fatal("expected length error")
 	}
 }
 
-// Property: Inverse(Forward(x)) == x.
+// Property: the unscaled inverse of Forward(x) is n·x, with the
+// bit-reversed spectrum passed straight through, for both parities of
+// log₂n.
 func TestRoundTripProperty(t *testing.T) {
-	p, _ := NewPlan(128)
-	f := func(seed int64) bool {
+	f := func(seed int64, size uint8) bool {
+		n := 1 << (size % 9)
+		p, _ := NewPlan(n)
 		rng := rand.New(rand.NewSource(seed))
-		re := make([]float64, 128)
-		im := make([]float64, 128)
-		orig := make([]float64, 256)
+		re := make([]float64, n)
+		im := make([]float64, n)
+		orig := make([]float64, 2*n)
 		for i := range re {
 			re[i] = rng.NormFloat64() * 10
 			im[i] = rng.NormFloat64() * 10
-			orig[i], orig[128+i] = re[i], im[i]
+			orig[i], orig[n+i] = re[i], im[i]
 		}
-		if p.Forward(re, im) != nil || p.Inverse(re, im) != nil {
+		if p.Forward(re, im) != nil {
 			return false
 		}
+		p.dit(re, im, false)
 		for i := range re {
-			if math.Abs(re[i]-orig[i]) > 1e-9 || math.Abs(im[i]-orig[128+i]) > 1e-9 {
+			re[i], im[i] = re[i]/float64(n), im[i]/float64(n)
+			if math.Abs(re[i]-orig[i]) > 1e-9 || math.Abs(im[i]-orig[n+i]) > 1e-9 {
 				return false
 			}
 		}
@@ -180,114 +192,6 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-// naiveConvolve computes the direct convolution reference for the aligned
-// output used by Convolver.Convolve.
-func naiveConvolve(signal []float32, kernel []float64, center int) []float32 {
-	out := make([]float32, len(signal))
-	for i := range out {
-		var acc float64
-		for j := range signal {
-			k := center + i - j
-			if k >= 0 && k < len(kernel) {
-				acc += float64(signal[j]) * kernel[k]
-			}
-		}
-		out[i] = float32(acc)
-	}
-	return out
-}
-
-func TestConvolverMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct{ sig, ker int }{{16, 5}, {33, 9}, {100, 31}, {7, 7}} {
-		signal := make([]float32, tc.sig)
-		kernel := make([]float64, tc.ker)
-		for i := range signal {
-			signal[i] = float32(rng.NormFloat64())
-		}
-		for i := range kernel {
-			kernel[i] = rng.NormFloat64()
-		}
-		center := tc.ker / 2
-		want := naiveConvolve(signal, kernel, center)
-		c, err := NewConvolver(tc.sig, kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float32, tc.sig)
-		if err := c.Convolve(got, signal, center, c.NewScratch()); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-4 {
-				t.Fatalf("sig=%d ker=%d: sample %d = %g, want %g", tc.sig, tc.ker, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestConvolverInPlace(t *testing.T) {
-	signal := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	kernel := []float64{0.25, 0.5, 0.25}
-	want := naiveConvolve(signal, kernel, 1)
-	c, err := NewConvolver(len(signal), kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Convolve(signal, signal, 1, c.NewScratch()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range signal {
-		if math.Abs(float64(signal[i]-want[i])) > 1e-5 {
-			t.Fatalf("in-place sample %d = %g, want %g", i, signal[i], want[i])
-		}
-	}
-}
-
-func TestConvolverRejectsBadInputs(t *testing.T) {
-	if _, err := NewConvolver(0, []float64{1}); err == nil {
-		t.Error("expected error for zero signal length")
-	}
-	if _, err := NewConvolver(8, nil); err == nil {
-		t.Error("expected error for empty kernel")
-	}
-	c, _ := NewConvolver(8, []float64{1, 2, 3})
-	if err := c.Convolve(make([]float32, 8), make([]float32, 4), 1, c.NewScratch()); err == nil {
-		t.Error("expected error for wrong signal length")
-	}
-	if err := c.Convolve(make([]float32, 4), make([]float32, 8), 1, c.NewScratch()); err == nil {
-		t.Error("expected error for wrong dst length")
-	}
-}
-
-// Convolving with a unit impulse centred in the kernel must return the
-// signal unchanged.
-func TestConvolveIdentityProperty(t *testing.T) {
-	kernel := []float64{0, 0, 1, 0, 0}
-	c, _ := NewConvolver(32, kernel)
-	s := c.NewScratch()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		signal := make([]float32, 32)
-		for i := range signal {
-			signal[i] = float32(rng.NormFloat64())
-		}
-		out := make([]float32, 32)
-		if c.Convolve(out, signal, 2, s) != nil {
-			return false
-		}
-		for i := range out {
-			if math.Abs(float64(out[i]-signal[i])) > 1e-5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkForward1024(b *testing.B) {
 	p, _ := NewPlan(1024)
 	re := make([]float64, 1024)
@@ -298,20 +202,5 @@ func BenchmarkForward1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = p.Forward(re, im)
-	}
-}
-
-func BenchmarkConvolveRow2048(b *testing.B) {
-	kernel := make([]float64, 2048)
-	for i := range kernel {
-		kernel[i] = 1 / float64(1+i*i)
-	}
-	c, _ := NewConvolver(2048, kernel)
-	s := c.NewScratch()
-	row := make([]float32, 2048)
-	b.SetBytes(2048 * 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = c.Convolve(row, row, 1024, s)
 	}
 }

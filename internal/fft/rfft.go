@@ -5,131 +5,77 @@ import (
 	"math"
 )
 
-// RealPlan computes forward and inverse DFTs of real sequences of even
-// power-of-two length n by packing the even/odd samples into one complex
-// transform of size n/2 and untangling — the classic trick that halves the
-// butterfly work of row filtering, standing in for the paper's IPP
-// real-to-complex transforms. A RealPlan is safe for concurrent use once
-// built; callers supply their own buffers.
-type RealPlan struct {
-	n    int
-	half *Plan
-	// Untangle twiddles exp(−2πik/n) for k = 0..n/4.
-	cos, sin []float64
+// RealFilter applies a real, even frequency response H (H[k] == H[n−k]) to
+// real sequences of length n/2, zero-padded to n: y = IDFT(H·DFT(x)), of
+// which the first n/2 samples are kept. A sequence travels packed, sample
+// 2j in re[j] and sample 2j+1 in im[j], through one complex transform of
+// size m = n/2, one row per transform. Between the pruned forward and
+// inverse passes a single sweep over bit-reversed bin pairs applies the
+// whole untangle → H → retangle → 1/n chain as
+//
+//	Z'[k] = α_k·Z[k] + i·γ_k·conj(Z[m−k]),
+//
+// with α_k and γ_k real and precomputed. A RealFilter is safe for
+// concurrent use once built; callers supply their own buffers.
+type RealFilter struct {
+	plan         *Plan
+	alpha, gamma []float64 // per bit-reversed position
 }
 
-// NewRealPlan builds a real-input plan of size n, which must be a power of
-// two and at least 2.
-func NewRealPlan(n int) (*RealPlan, error) {
-	if !IsPow2(n) || n < 2 {
-		return nil, fmt.Errorf("fft: real plan size %d is not an even power of two", n)
+// NewRealFilter builds the filter for the response bins H[0..n/2] given in
+// resp (length n/2 + 1, n a power of two >= 2).
+func NewRealFilter(resp []float64) (*RealFilter, error) {
+	m := len(resp) - 1
+	if !IsPow2(m) {
+		return nil, fmt.Errorf("fft: response of %d bins is not n/2+1 for a power-of-two n", len(resp))
 	}
-	half, err := NewPlan(n / 2)
+	plan, err := NewPlan(m)
 	if err != nil {
 		return nil, err
 	}
-	p := &RealPlan{n: n, half: half}
-	q := n/4 + 1
-	p.cos = make([]float64, q)
-	p.sin = make([]float64, q)
-	for k := 0; k < q; k++ {
-		a := -2 * math.Pi * float64(k) / float64(n)
-		p.cos[k] = math.Cos(a)
-		p.sin[k] = math.Sin(a)
+	f := &RealFilter{plan: plan, alpha: make([]float64, m), gamma: make([]float64, m)}
+	// With Fe/Fo the spectra of the even/odd samples, Z = Fe + i·Fo and
+	// X[k] = Fe[k] + W^k·Fo[k] (W = exp(−2πi/n)). Filtering X[k] by H[k] and
+	// X[k+m] by H[m−k] and repacking gives
+	//   Z'[k] = S·Z[k] + D·(W^k·Fo[k] + i·W^{−k}·Fe[k])
+	//         = (S − D·sin θ)·Z[k] + i·D·cos θ·conj(Z[m−k]),
+	// θ = 2πk/n, S and D the half sum and difference of H[k] and H[m−k].
+	// The 1/m of the unscaled inverse folds in here too.
+	for pos := 0; pos < m; pos++ {
+		k := plan.Bin(pos)
+		s, d := (resp[k]+resp[m-k])/2, (resp[k]-resp[m-k])/2
+		sin, cos := math.Sincos(math.Pi * float64(k) / float64(m))
+		f.alpha[pos] = (s - d*sin) / float64(m)
+		f.gamma[pos] = d * cos / float64(m)
 	}
-	return p, nil
+	return f, nil
 }
 
-// Size returns the real transform length n.
-func (p *RealPlan) Size() int { return p.n }
+// Size returns the padded real transform length n.
+func (f *RealFilter) Size() int { return 2 * f.plan.n }
 
-// SpectrumLen returns the number of independent frequency bins, n/2 + 1.
-// Bins k > n/2 of the full DFT are the conjugates of bins n−k and are never
-// materialised.
-func (p *RealPlan) SpectrumLen() int { return p.n/2 + 1 }
-
-// Forward computes the half-spectrum DFT of the real sequence x (length n),
-// writing bins 0..n/2 into re/im (each of length SpectrumLen). im[0] and
-// im[n/2] are always zero for real input. x is not modified.
-func (p *RealPlan) Forward(x []float64, re, im []float64) error {
-	m := p.n / 2
-	if len(x) != p.n {
-		return fmt.Errorf("fft: real input length %d, plan size %d", len(x), p.n)
-	}
-	if len(re) < m+1 || len(im) < m+1 {
-		return fmt.Errorf("fft: spectrum buffers %d/%d, want %d", len(re), len(im), m+1)
-	}
-	// Pack z[j] = x[2j] + i·x[2j+1] and run the half-size transform in the
-	// output buffers.
-	zr, zi := re[:m], im[:m]
-	for j := 0; j < m; j++ {
-		zr[j] = x[2*j]
-		zi[j] = x[2*j+1]
-	}
-	if err := p.half.Forward(zr, zi); err != nil {
+// Apply filters one packed sequence in place. re and im must have length
+// n/2. Only their first max(1, n/4) entries — samples 0..n/2−1 — are read
+// (the rest is the zero padding), and only those hold output afterwards.
+func (f *RealFilter) Apply(re, im []float64) error {
+	if err := f.plan.check(re, im); err != nil {
 		return err
 	}
-	// Untangle: with Fe/Fo the spectra of the even/odd samples,
-	//   X[k]   = Fe[k] + W^k·Fo[k],  W = exp(−2πi/n)
-	//   X[m−k] = conj(Fe[k] − W^k·Fo[k])
-	// processed pairwise in place; k = 0 unzips to the two purely real
-	// bins X[0] and X[m].
-	r0, i0 := zr[0], zi[0]
-	re[0], im[0] = r0+i0, 0
-	re[m], im[m] = r0-i0, 0
-	for k := 1; k <= m/2; k++ {
-		kr, ki := zr[k], zi[k]
-		jr, ji := zr[m-k], zi[m-k]
-		fer, fei := (kr+jr)/2, (ki-ji)/2
-		for_, foi := (ki+ji)/2, (jr-kr)/2
-		wr, wi := p.cos[k], p.sin[k]
-		tr := wr*for_ - wi*foi
-		ti := wr*foi + wi*for_
-		re[k], im[k] = fer+tr, fei+ti
-		re[m-k], im[m-k] = fer-tr, ti-fei
+	m := f.plan.n
+	f.plan.dif(re, im, true)
+	a, g := f.alpha, f.gamma
+	// Bin k sits at position Bin(k); position 0 (k = 0) pairs with itself,
+	// and in every octave [b, 2b) of positions, p holds the partner m−k of
+	// position 3b−1−p's bin — so the pairs sweep inward from both ends.
+	zr, zi := re[0], im[0]
+	re[0], im[0] = a[0]*zr+g[0]*zi, a[0]*zi+g[0]*zr
+	for b := 1; b < m; b *= 2 {
+		for p, q := b, 2*b-1; p <= q; p, q = p+1, q-1 {
+			pr, pi, qr, qi := re[p], im[p], re[q], im[q]
+			re[p], im[p] = a[p]*pr+g[p]*qi, a[p]*pi+g[p]*qr
+			re[q], im[q] = a[q]*qr+g[p]*pi, a[q]*qi+g[p]*pr
+		}
 	}
-	return nil
-}
-
-// Inverse reconstructs the real sequence from the half-spectrum produced by
-// Forward (or filtered versions of it), writing n samples into x and
-// including the 1/n scaling. im[0] and im[n/2] are assumed zero — the
-// Hermitian symmetry of a real signal's spectrum. The spectrum is consumed:
-// re/im double as the transform workspace and hold garbage afterwards. x
-// must not alias them.
-func (p *RealPlan) Inverse(re, im []float64, x []float64) error {
-	m := p.n / 2
-	if len(x) != p.n {
-		return fmt.Errorf("fft: real output length %d, plan size %d", len(x), p.n)
-	}
-	if len(re) < m+1 || len(im) < m+1 {
-		return fmt.Errorf("fft: spectrum buffers %d/%d, want %d", len(re), len(im), m+1)
-	}
-	// Retangle into the packed half-size spectrum Z[k] = Fe[k] + i·Fo[k],
-	// pairwise in place over the spectrum buffers.
-	zr, zi := re[:m], im[:m]
-	r0, rm := re[0], re[m]
-	zr[0] = (r0 + rm) / 2
-	zi[0] = (r0 - rm) / 2
-	for k := 1; k <= m/2; k++ {
-		kr, ki := re[k], im[k]
-		jr, ji := re[m-k], im[m-k]
-		fer, fei := (kr+jr)/2, (ki-ji)/2
-		dr, di := (kr-jr)/2, (ki+ji)/2
-		// Fo[k] = W^{−k}·D, W^{−k} = conj(W^k).
-		wr, wi := p.cos[k], p.sin[k]
-		for_ := wr*dr + wi*di
-		foi := wr*di - wi*dr
-		zr[k], zi[k] = fer-foi, fei+for_
-		zr[m-k], zi[m-k] = fer+foi, for_-fei
-	}
-	if err := p.half.Inverse(zr, zi); err != nil {
-		return err
-	}
-	// Unpack z[j] = x[2j] + i·x[2j+1].
-	for j := 0; j < m; j++ {
-		x[2*j] = zr[j]
-		x[2*j+1] = zi[j]
-	}
+	f.plan.dit(re, im, true)
 	return nil
 }

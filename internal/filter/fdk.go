@@ -16,8 +16,7 @@ import (
 // concurrent use by many goroutines (each supplies its own Scratch).
 type FDK struct {
 	nu, nv  int
-	plan    *fft.RealPlan
-	resp    []float64 // real frequency response of the windowed ramp
+	ramp    *fft.RealFilter
 	weights []float32 // nv×nu cosine weights, row-major
 	window  Window
 }
@@ -68,14 +67,14 @@ func NewFDK(cfg Config) (*FDK, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := fft.NewRealPlan(n)
+	// The response is real and even (resp[k] == resp[n−k]), so bins 0..n/2
+	// determine it; n >= 2·NU keeps the circular convolution linear over
+	// the kept samples.
+	ramp, err := fft.NewRealFilter(resp[:n/2+1])
 	if err != nil {
 		return nil, err
 	}
-	// The detector rows are real, so filtering runs through the real-input
-	// transform: the response is symmetric (resp[k] == resp[n−k]), and only
-	// the independent half-spectrum bins 0..n/2 are ever touched.
-	f := &FDK{nu: cfg.NU, nv: cfg.NV, plan: plan, resp: resp[:plan.SpectrumLen()], window: cfg.Window}
+	f := &FDK{nu: cfg.NU, nv: cfg.NV, ramp: ramp, window: cfg.Window}
 	f.weights = make([]float32, cfg.NV*cfg.NU)
 	cu := (float64(cfg.NU)-1)/2 + cfg.SigmaU
 	cv := (float64(cfg.NV)-1)/2 + cfg.SigmaV
@@ -100,22 +99,19 @@ func (f *FDK) NV() int { return f.nv }
 func (f *FDK) Window() Window { return f.window }
 
 // FFTSize returns the transform length used for row filtering.
-func (f *FDK) FFTSize() int { return f.plan.Size() }
+func (f *FDK) FFTSize() int { return f.ramp.Size() }
 
-// Scratch is the per-goroutine workspace for row filtering.
+// Scratch is the per-goroutine workspace for row filtering: one row packed
+// into a complex transform of size FFTSize/2, even samples in re and odd
+// samples in im.
 type Scratch struct {
-	x      []float64 // real samples, FFT-size long
-	re, im []float64 // half-spectrum bins 0..n/2
+	re, im []float64
 }
 
 // NewScratch allocates a workspace sized for this filter.
 func (f *FDK) NewScratch() *Scratch {
-	m := f.plan.SpectrumLen()
-	return &Scratch{
-		x:  make([]float64, f.plan.Size()),
-		re: make([]float64, m),
-		im: make([]float64, m),
-	}
+	m := f.ramp.Size() / 2
+	return &Scratch{re: make([]float64, m), im: make([]float64, m)}
 }
 
 // FilterRow filters one detector row in place. v is the physical detector
@@ -148,34 +144,43 @@ func (f *FDK) FilterRowInto(dst, src []float32, v int, pw []float32, s *Scratch)
 		return fmt.Errorf("filter: weight length %d, want %d", len(pw), f.nu)
 	}
 	w := f.weights[v*f.nu : (v+1)*f.nu]
-	n := f.plan.Size()
+	// Weight straight into the packed transform buffer: sample u goes to
+	// re[u/2] (u even) or im[u/2] (u odd). The samples from NU up to
+	// FFTSize/2 are the zero padding that RealFilter.Apply reads.
+	re, im := s.re, s.im
+	h := f.nu / 2
 	if pw != nil {
-		for u := 0; u < f.nu; u++ {
+		for j := 0; j < h; j++ {
 			// Two float32 roundings, matching ApplyRow + FilterRow.
-			s.x[u] = float64(src[u] * pw[u] * w[u])
+			re[j] = float64(src[2*j] * pw[2*j] * w[2*j])
+			im[j] = float64(src[2*j+1] * pw[2*j+1] * w[2*j+1])
 		}
 	} else {
-		for u := 0; u < f.nu; u++ {
-			s.x[u] = float64(src[u] * w[u])
+		for j := 0; j < h; j++ {
+			re[j] = float64(src[2*j] * w[2*j])
+			im[j] = float64(src[2*j+1] * w[2*j+1])
 		}
 	}
-	for u := f.nu; u < n; u++ {
-		s.x[u] = 0
+	if f.nu%2 == 1 {
+		u := f.nu - 1
+		x := src[u] * w[u]
+		if pw != nil {
+			x = src[u] * pw[u] * w[u]
+		}
+		re[h], im[h] = float64(x), 0
+		h++
 	}
-	if err := f.plan.Forward(s.x, s.re, s.im); err != nil {
+	for j := h; j < max(1, len(re)/2); j++ {
+		re[j], im[j] = 0, 0
+	}
+	if err := f.ramp.Apply(re, im); err != nil {
 		return err
 	}
-	// Real symmetric response: scaling the half-spectrum is equivalent to
-	// scaling every bin of the full transform.
-	for k := range s.re {
-		s.re[k] *= f.resp[k]
-		s.im[k] *= f.resp[k]
+	for j := 0; j < f.nu/2; j++ {
+		dst[2*j], dst[2*j+1] = float32(re[j]), float32(im[j])
 	}
-	if err := f.plan.Inverse(s.re, s.im, s.x); err != nil {
-		return err
-	}
-	for u := 0; u < f.nu; u++ {
-		dst[u] = float32(s.x[u])
+	if f.nu%2 == 1 {
+		dst[f.nu-1] = float32(re[f.nu/2])
 	}
 	return nil
 }

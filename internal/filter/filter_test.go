@@ -354,3 +354,22 @@ func BenchmarkFilterRow2048(b *testing.B) {
 		_ = f.FilterRow(row, 32, s)
 	}
 }
+
+// BenchmarkFilterRow334 times the row length of the preview-filter
+// workload (a 1024-point padded transform, log₂(512) odd).
+func BenchmarkFilterRow334(b *testing.B) {
+	f, err := NewFDK(Config{NU: 334, NV: 64, DU: 0.8, DV: 0.8, DSD: 672.5, Window: RamLak, Scale: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := f.NewScratch()
+	row := make([]float32, 334)
+	for i := range row {
+		row[i] = float32(i % 13)
+	}
+	b.SetBytes(334 * 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = f.FilterRow(row, 32, s)
+	}
+}

@@ -50,16 +50,14 @@ func rampResponse(n int, du float64, w Window, scale float64) ([]float64, error)
 	if err := plan.Forward(re, im); err != nil {
 		return nil, err
 	}
-	// The spatial kernel is real and even, so the spectrum is real; keep
-	// the real part and discard numerical imaginary dust. Then apodise.
-	for k := 0; k < n; k++ {
-		f := k
-		if f > n/2 {
-			f = n - f
-		}
-		fn := float64(f) / float64(n/2)
-		re[k] *= w.gain(fn) * du * scale
-		im[k] = 0
+	// The spatial kernel is real and even, so the spectrum is real: keep
+	// the real part, discarding numerical imaginary dust, put each bin back
+	// in natural order (the one permutation, at build time) and apodise.
+	resp := im
+	for pos, v := range re {
+		k := plan.Bin(pos)
+		f := min(k, n-k)
+		resp[k] = v * w.gain(float64(f)/float64(n/2)) * du * scale
 	}
-	return re, nil
+	return resp, nil
 }

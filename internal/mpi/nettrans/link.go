@@ -46,6 +46,11 @@ type link struct {
 	nextSeq   uint64 // last assigned outgoing sequence number
 	pending   []*wireItem
 	nextWrite int // pending[:nextWrite] written on the current conn
+	// sentSeq is the highest sequence number the write loop has finished
+	// with on the current connection generation — written, or dropped by
+	// injected chaos. Heartbeats advertise it, never nextSeq: a frame that
+	// is still queued must not look like a dropped tail to the peer.
+	sentSeq uint64
 
 	recvSeq  uint64 // highest contiguous incoming seq delivered
 	lastRecv time.Time
@@ -158,6 +163,7 @@ func (l *link) attach(conn net.Conn, peerAck uint64) {
 	gen := l.gen
 	l.down = false
 	l.nextWrite = 0 // replay every surviving pending frame
+	l.sentSeq = 0
 	l.lastRecv = time.Now()
 	if l.everUp {
 		l.n.st.reconnects.Inc()
@@ -189,6 +195,17 @@ func (l *link) curConn() (net.Conn, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.conn, l.gen
+}
+
+// finished records that the write loop is done with frame seq on
+// connection generation gen. A stale generation's frame says nothing about
+// the current connection, which replays it.
+func (l *link) finished(gen int, seq uint64) {
+	l.mu.Lock()
+	if gen == l.gen && seq > l.sentSeq {
+		l.sentSeq = seq
+	}
+	l.mu.Unlock()
 }
 
 // rawWrite writes pre-encoded bytes on conn under the write mutex with
@@ -254,12 +271,15 @@ func (l *link) writeLoop() {
 				// (next frame or heartbeat cursor) and forces a
 				// reconnect-replay.
 				l.n.st.framesSent.Inc()
+				l.finished(gen, item.f.seq)
 				continue
 			}
 			if inj.Hit(fault.OpFrameCorrupt, rank) != nil {
 				mut := append([]byte(nil), item.enc...)
 				mut[len(mut)-1] ^= 0x40 // inside the CRC trailer
-				l.rawWrite(conn, gen, mut)
+				if l.rawWrite(conn, gen, mut) {
+					l.finished(gen, item.f.seq)
+				}
 				l.n.st.framesSent.Inc()
 				continue // peer CRC-fails, reconnects, replay delivers it
 			}
@@ -267,12 +287,14 @@ func (l *link) writeLoop() {
 				if l.rawWrite(conn, gen, item.enc) {
 					l.rawWrite(conn, gen, item.enc)
 					l.n.st.framesSent.Add(2)
+					l.finished(gen, item.f.seq)
 				}
 				continue
 			}
 		}
 		if l.rawWrite(conn, gen, item.enc) {
 			l.n.st.framesSent.Inc()
+			l.finished(gen, item.f.seq)
 		}
 	}
 }
@@ -292,12 +314,16 @@ func (l *link) sendUnreliable(f *frame) {
 // heartbeat emits the periodic liveness probe: the ack field carries the
 // cumulative receive cursor, the seq field advertises the send cursor so
 // a peer can detect silently dropped tails without waiting for more data.
+// The cursor and the connection are read together: every frame up to the
+// cursor was written to this connection before the heartbeat is.
 func (l *link) heartbeat() {
 	l.mu.Lock()
-	ack := l.recvSeq
-	sent := l.nextSeq
+	conn, gen := l.conn, l.gen
+	f := &frame{kind: kindHeartbeat, seq: l.sentSeq, ack: l.recvSeq}
 	l.mu.Unlock()
-	l.sendUnreliable(&frame{kind: kindHeartbeat, seq: sent, ack: ack})
+	if conn != nil && l.rawWrite(conn, gen, encodeFrame(f)) {
+		l.n.st.framesSent.Inc()
+	}
 }
 
 func (l *link) heartbeatLoop() {

@@ -198,6 +198,91 @@ func TestFleetWireChaosRecovers(t *testing.T) {
 	}
 }
 
+// TestFleetCleanWireNoRetransmits runs a fault-free exchange of
+// reduce-sized messages with a heartbeat far shorter than one frame's
+// write. A heartbeat may advertise only frames already on the wire, so it
+// never overtakes a queued frame and makes the peer see a gap that does
+// not exist: no connection may cycle, and nothing may be resent.
+func TestFleetCleanWireNoRetransmits(t *testing.T) {
+	const size, elems, rounds = 4, 1 << 18, 8
+	reg := telemetry.NewRegistry()
+	cfg := testConfig()
+	cfg.Heartbeat = time.Millisecond
+	cfg.Telemetry = reg
+	fl := newTestFleet(t, 2, cfg)
+	assign, err := AssignRanks(size, 2, []int{0, 1}, 2)
+	if err != nil {
+		t.Fatalf("AssignRanks: %v", err)
+	}
+	errs := fl.Run(size, assign, mpi.Options{}, func(c *mpi.Comm) error {
+		for round := 0; round < rounds; round++ {
+			if err := c.Allreduce(rankBuf(c.Rank()+round, elems)); err != nil {
+				return fmt.Errorf("round %d: %w", round, err)
+			}
+		}
+		return nil
+	})
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("proc %d: %v", p, err)
+		}
+	}
+	snap := reg.Snapshot().Counters
+	if snap["transport.frames_sent"] == 0 {
+		t.Fatal("no frames crossed the wire")
+	}
+	for _, name := range []string{"transport.retransmits", "transport.reconnects", "transport.crc_errors"} {
+		if snap[name] != 0 {
+			t.Errorf("%s = %d on a fault-free wire, want 0 (snapshot: %v)", name, snap[name], snap)
+		}
+	}
+}
+
+// TestFleetHeartbeatHealsDroppedTail drops the last data frame a worker
+// rank sends, with no later frame on that link to expose the gap: only the
+// heartbeat's send cursor, which counts the dropped frame as finished,
+// can trigger the reconnect-replay that delivers it.
+func TestFleetHeartbeatHealsDroppedTail(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	inj := fault.NewInjector(7, fault.Rule{Op: fault.OpFrameDrop, Rank: 1, Nth: 1})
+	cfg := testConfig()
+	cfg.Telemetry = reg
+	cfg.Injector = inj
+	fl := newTestFleet(t, 2, cfg)
+	assign := [][]int{{0}, {1}}
+	errs := fl.Run(2, assign, mpi.Options{Deadline: 5 * time.Second}, func(c *mpi.Comm) error {
+		if c.Rank() == 1 {
+			// The dropped frame; then wait for rank 0's reply, so the
+			// worker sends nothing else until it is delivered.
+			if err := c.Send(0, 3, []float32{42}); err != nil {
+				return err
+			}
+			_, err := c.RecvFloat32(0, 4)
+			return err
+		}
+		got, err := c.RecvFloat32(1, 3)
+		if err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != 42 {
+			return fmt.Errorf("rank 0 received %v, want [42]", got)
+		}
+		return c.Send(1, 4, []float32{1})
+	})
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("proc %d: %v", p, err)
+		}
+	}
+	if inj.Fired() != 1 {
+		t.Fatalf("injector fired %d times, want 1", inj.Fired())
+	}
+	snap := reg.Snapshot().Counters
+	if snap["transport.reconnects"] < 1 || snap["transport.retransmits"] < 1 {
+		t.Fatalf("dropped tail not healed by reconnect-replay (snapshot: %v)", snap)
+	}
+}
+
 // TestFleetPartitionAttributesRanks partitions one worker mid-run: the
 // survivors must unblock with the dead proc's ranks attributed via
 // ErrRankLost — the exact contract core.Supervise shrinks on — and agree
