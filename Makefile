@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-json bench-exec experiments examples clean
+.PHONY: all build test race check fuzz-smoke chaos chaos-recover trace-smoke status-smoke transport-smoke slo-gate bench bench-smoke bench-json experiments examples clean
 
 all: build test
 
@@ -75,7 +75,7 @@ status-smoke:
 # cache so the schedules actually re-run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestElasticError|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter' \
+		-run 'TestChaos|TestReconstructSingleRetryAndResume|TestRecvDeadline|TestWorldTeardown|TestSplitInherits|TestInterceptor|TestSendDeadline|TestTeardownLeavesNoGoroutines|TestErrorPropagationKeepsLiveness|TestJournal|TestWriteStackIsAtomic|TestOpenStackRejects|TestSlabWriterPartial|TestResumeSlabWriter' \
 		./internal/core/ ./internal/mpi/ ./internal/fault/ ./internal/storage/ ./internal/pipeline/
 	$(GO) test -race -count=1 ./internal/fault/
 
@@ -161,12 +161,6 @@ bench-smoke:
 # filter rows/s, alloc stats, git commit) to BENCH_kernel.json.
 bench-json:
 	$(GO) run ./cmd/fdkbench -kernel-json BENCH_kernel.json -label "$(BENCH_LABEL)"
-
-# Append a scale-out executor record (pipeline batches/s vs bp-worker
-# count, reduction GB/s and allocs/op pooled vs unpooled) to
-# BENCH_exec.json.
-bench-exec:
-	$(GO) run ./cmd/fdkbench -exec-json BENCH_exec.json -label "$(BENCH_LABEL)"
 
 # Regenerate every table/figure of the paper's evaluation into artifacts/.
 experiments:

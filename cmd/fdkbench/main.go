@@ -32,11 +32,9 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU parallelism")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	kernelJSON := flag.String("kernel-json", "", "run the hot-loop kernel benchmark and append the entry to this JSON file (skips -exp)")
-	execJSON := flag.String("exec-json", "", "run the scale-out executor benchmark and append the entry to this JSON file (skips -exp)")
-	label := flag.String("label", "", "label stamped into the -kernel-json / -exec-json entry")
-	reps := flag.Int("reps", 3, "repetitions per -kernel-json / -exec-json measurement (best-of)")
+	label := flag.String("label", "", "label stamped into the -kernel-json entry")
+	reps := flag.Int("reps", 3, "repetitions per -kernel-json measurement (best-of)")
 	kernel := flag.String("kernels", "recurrence", "back-projection arithmetic for -kernel-json: recurrence, exact or simd (simd needs AVX2; silently falls back to recurrence otherwise)")
-	ringLayout := flag.String("ring-layout", "interleaved", "streaming ring layout for -kernel-json: interleaved or proj-major")
 	parity := flag.Bool("parity", false, "validate the recurrence kernel — and, when the host has AVX2, the simd kernel — against the exact kernel (parity gates + streaming==batch identity); exit non-zero on violation")
 	smoke := flag.Bool("smoke", false, "reduced-size -kernel-json run for CI: smaller scenario, 1 rep, parity on")
 	checkTrace := flag.String("check-trace", "", "validate a Chrome trace artifact (exit non-zero on violation) and exit")
@@ -75,13 +73,12 @@ func main() {
 	}
 	if *kernelJSON != "" {
 		opts := experiments.KernelBenchOptions{
-			Workers:    *workers,
-			Reps:       *reps,
-			Label:      *label,
-			Kernel:     *kernel,
-			RingLayout: *ringLayout,
-			Parity:     *parity,
-			GitCommit:  gitCommit(),
+			Workers:   *workers,
+			Reps:      *reps,
+			Label:     *label,
+			Kernel:    *kernel,
+			Parity:    *parity,
+			GitCommit: gitCommit(),
 		}
 		if *smoke {
 			// CI-sized run: small volume, single rep, always gated. The
@@ -105,22 +102,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fdkbench:", err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *execJSON != "" {
-		entry, err := experiments.RunExecBench(experiments.ExecBenchOptions{
-			Reps:      *reps,
-			Label:     *label,
-			GitCommit: gitCommit(),
-		})
-		if err == nil {
-			err = experiments.AppendExecBenchJSON(*execJSON, entry)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdkbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(entry.Summary())
 		return
 	}
 	reg := benchRun.Rank(0)

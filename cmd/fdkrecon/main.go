@@ -33,7 +33,6 @@ import (
 	"distfdk/internal/filter"
 	"distfdk/internal/geometry"
 	"distfdk/internal/iterative"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/storage"
 	"distfdk/internal/telemetry"
@@ -73,8 +72,6 @@ func main() {
 		deadline   = flag.Duration("deadline", 0, "collective deadline: a lost peer surfaces as a typed error within this bound (0 waits for world teardown)")
 		kills      = flag.String("kill", "", "chaos: comma-separated rank@batch kill schedule, e.g. 1@1,2@0 (recovery drill with -journal)")
 		kernelFl   = flag.String("kernels", "recurrence", "back-projection arithmetic: recurrence, exact (the PR-1 escape hatch) or simd (AVX2; silently falls back to recurrence elsewhere)")
-		layoutFl   = flag.String("ring-layout", "interleaved", "projection ring layout: interleaved or proj-major")
-		fusionFl   = flag.String("fusion", "auto", "filter-into-ring fusion: auto, on, off")
 		worldN     = flag.Int("world", 0, "spread the multi-rank run over this many OS processes wired through loopback sockets (this process becomes the coordinator and spawns the workers)")
 		transport  = flag.String("transport", "tcp", "socket transport of -world mode: tcp or unix")
 		severSpec  = flag.String("sever", "", "chaos: comma-separated rank@nth wire severs, e.g. 1@2 cuts the connection carrying rank 1's 2nd outgoing frame (-world mode; the link must reconnect and replay)")
@@ -100,14 +97,6 @@ func main() {
 		log.Fatal(err)
 	}
 	kern, err := backproject.ParseKernel(*kernelFl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	layout, err := device.ParseRingLayout(*layoutFl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fusion, err := core.ParseFusionMode(*fusionFl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -210,10 +199,11 @@ func main() {
 		}
 	}
 
-	// Telemetry is collected whenever any consumer of it was requested;
+	// Telemetry is collected whenever any consumer of it was requested
+	// (the single-rank -timeline draws from the run's stage spans);
 	// otherwise every instrumented path stays at a single pointer check.
 	var run *telemetry.Run
-	if *traceOut != "" || *metrics != "" || *pprof != "" {
+	if *traceOut != "" || *metrics != "" || *pprof != "" || (*timeline && plan.Ranks() == 1) {
 		run = telemetry.NewRun(plan.Ranks())
 	}
 	// finishPoll stops the -status-poll loop (if any) and fails the run
@@ -232,15 +222,10 @@ func main() {
 
 	if plan.Ranks() == 1 {
 		reg := run.Rank(0)
-		tracer := pipeline.TracerFor(reg)
-		if reg == nil {
-			tracer = pipeline.NewTracer()
-		}
 		rep, err := core.ReconstructSingle(core.ReconOptions{
 			Plan: plan, Source: source,
 			Device: device.New("local", *memMB<<20, *workers),
-			Window: win, Sink: sink, Tracer: tracer, Telemetry: reg,
-			Kernel: kern, RingLayout: layout, Fusion: fusion,
+			Window: win, Sink: sink, Telemetry: reg, Kernel: kern,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -250,7 +235,7 @@ func main() {
 			rep.Slabs, rep.Elapsed.Round(1e6),
 			float64(rep.Ledger.H2DBytes)/(1<<20), float64(rep.Ledger.D2HBytes)/(1<<20))
 		if *timeline {
-			fmt.Print(tracer.RenderASCII([]string{"load", "filter", "backproject", "store"}, 100))
+			fmt.Print(telemetry.RenderGantt(reg.Spans(), []string{"load", "filter", "backproject", "store"}, 100))
 		}
 		writeTelemetry(*traceOut, *metrics, run.Snapshots())
 	} else {
@@ -258,7 +243,7 @@ func main() {
 			Plan: plan, Source: source, Window: win,
 			DeviceMemBytes: *memMB << 20,
 			Telemetry:      run, CollectiveDeadline: *deadline,
-			Kernel: kern, RingLayout: layout, Fusion: fusion,
+			Kernel: kern,
 		}
 		inj, err := buildChaosInjector(*kills, *severSpec)
 		if err != nil {
@@ -278,7 +263,6 @@ func main() {
 				"-groups", strconv.Itoa(*groups), "-ranks", strconv.Itoa(*ranks),
 				"-batches", strconv.Itoa(*batches),
 				"-window", *window, "-kernels", *kernelFl,
-				"-ring-layout", *layoutFl, "-fusion", *fusionFl,
 				"-devmem", strconv.FormatInt(*memMB, 10),
 				"-workers", strconv.Itoa(*workers),
 				"-deadline", copts.CollectiveDeadline.String(),

@@ -113,35 +113,35 @@ func TestZeroVoxelSlabLaunch(t *testing.T) {
 	}
 }
 
-// The ring layouts only rearrange device memory; both present the same
-// RowBase/ProjStride addressing to the kernel, so streaming through a
-// proj-major ring must reproduce the row-interleaved volume bit for bit.
-func TestProjMajorStreamingBitIdentical(t *testing.T) {
+// One full-depth ring load streamed in a single launch must reproduce the
+// batch kernel bit for bit: the ring's RowBase/ProjStride addressing reads
+// the same samples as the stack's own indexing.
+func TestFullRingStreamingEqualsBatch(t *testing.T) {
 	sys := testSystem()
 	stack := randomStack(sys, 13)
 	mats := kernelMats(sys)
 	rows := geometry.RowRange{Lo: 0, Hi: sys.NV}
 
-	vols := make([]*volume.Volume, 2)
-	for li, layout := range []device.RingLayout{device.LayoutRowInterleaved, device.LayoutProjMajor} {
-		dev := device.New("layout", 0, 2)
-		ring, err := device.NewProjRingLayout(dev, sys.NU, sys.NP, sys.NV, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ring.LoadRows(stack, rows); err != nil {
-			t.Fatal(err)
-		}
-		v, _ := volume.New(sys.NX, sys.NY, sys.NZ)
-		if err := Streaming(dev, ring, mats, v, rows); err != nil {
-			t.Fatal(err)
-		}
-		ring.Close()
-		vols[li] = v
+	want, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+	if err := Batch(device.New("batch", 0, 2), stack, mats, want); err != nil {
+		t.Fatal(err)
 	}
-	for i := range vols[0].Data {
-		if vols[0].Data[i] != vols[1].Data[i] {
-			t.Fatalf("voxel %d: proj-major %g != interleaved %g", i, vols[1].Data[i], vols[0].Data[i])
+	dev := device.New("ring", 0, 2)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	if err := ring.LoadRows(stack, rows); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := volume.New(sys.NX, sys.NY, sys.NZ)
+	if err := Streaming(dev, ring, mats, got, rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("voxel %d: ring streaming %g != batch %g", i, got.Data[i], want.Data[i])
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"distfdk/internal/forward"
 	"distfdk/internal/geometry"
 	"distfdk/internal/phantom"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/volume"
 )
@@ -201,10 +200,9 @@ func TestReconstructSinglePipelineMatchesSerial(t *testing.T) {
 	run := func(disable bool) *volume.Volume {
 		p, _ := NewPlan(sys, 1, 1, 4)
 		sink, _ := NewVolumeSink(sys)
-		tracer := pipeline.NewTracer()
 		_, err := ReconstructSingle(ReconOptions{
 			Plan: p, Source: src, Device: device.New("t", 0, 2),
-			Sink: sink, Tracer: tracer, DisablePipeline: disable,
+			Sink: sink, DisablePipeline: disable,
 		})
 		if err != nil {
 			t.Fatal(err)

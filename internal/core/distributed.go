@@ -36,27 +36,14 @@ type ClusterOptions struct {
 	// Kernel selects the back-projection arithmetic (default
 	// KernelRecurrence; KernelExact retains the PR-1 per-sample form).
 	Kernel backproject.Kernel
-	// RingLayout selects each rank's projection-ring memory layout
-	// (default row-interleaved).
-	RingLayout device.RingLayout
-	// Fusion controls the filter→upload handoff. The per-rank batch loop
-	// is sequential, so FusionAuto (and FusionOn) fuse; FusionOff keeps
-	// the separate filter and upload passes.
-	Fusion FusionMode
 	// Hierarchical enables the node-leader reduction of Section 4.4.2
-	// with RanksPerNode ranks per node.
+	// with RanksPerNode ranks per node. Without it each batch's slabs meet
+	// in a chunk-pipelined reduction, one XY plane (NX·NY) per chunk, which
+	// overlaps tree latency with accumulation plane by plane. The
+	// hierarchical path matches it bit for bit only when RanksPerNode is a
+	// power of two dividing the group size (see mpi.HierarchicalReduce).
 	Hierarchical bool
 	RanksPerNode int
-	// ReduceChunk sets the segment size (in float32 elements) for the
-	// chunk-pipelined slab reduction: 0 picks one XY plane (NX·NY), which
-	// overlaps tree latency with accumulation plane by plane; a negative
-	// value disables chunking and uses the monolithic Reduce. Ignored when
-	// Hierarchical is set. Every ReduceChunk setting — chunked at any size
-	// or monolithic — produces bit-identical volumes, because the fused
-	// accumulate fixes the per-element summation order. The hierarchical
-	// path matches them only when RanksPerNode is a power of two dividing
-	// the group size (see mpi.HierarchicalReduce).
-	ReduceChunk int
 	// Output receives reduced slabs from group leaders (required).
 	Output SlabSink
 	// Retry, when set, retries transient load and store failures with
@@ -236,7 +223,7 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 		}
 		dev := device.New(fmt.Sprintf("rank%d", rank), opts.DeviceMemBytes, workers)
 		dev.SetTelemetry(reg)
-		ring, err := device.NewProjRingLayout(dev, p.Sys.NU, pHi-pLo, p.RingDepth(g), opts.RingLayout)
+		ring, err := device.NewProjRing(dev, p.Sys.NU, pHi-pLo, p.RingDepth(g))
 		if err != nil {
 			return err
 		}
@@ -323,35 +310,16 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 				if lerr != nil {
 					return fmt.Errorf("rank %d batch %d load: %w", rank, c, lerr)
 				}
-				if opts.Fusion != FusionOff {
-					// The rank loop is sequential, so the fused fill is
-					// always safe; the combined work lands in the filter
-					// span and the upload span records the (now empty)
-					// handoff.
-					endFilter := reg.Span("filter", c)
-					if err := fuseUpload(ring, st, fdk, parker, 1); err != nil {
-						return fmt.Errorf("rank %d batch %d filter: %w", rank, c, err)
-					}
-					endFilter()
-					endUpload := reg.Span("upload", c)
-					endUpload()
-				} else {
-					endFilter := reg.Span("filter", c)
-					if err := applyParker(parker, st); err != nil {
-						return fmt.Errorf("rank %d batch %d parker: %w", rank, c, err)
-					}
-					count := st.NV * st.NP
-					vOf := func(i int) int { return st.V0 + i/st.NP }
-					if err := fdk.FilterRows(st.Data, count, vOf, 1); err != nil {
-						return fmt.Errorf("rank %d batch %d filter: %w", rank, c, err)
-					}
-					endFilter()
-					endUpload := reg.Span("upload", c)
-					if err := ring.LoadRows(st, st.Rows()); err != nil {
-						return fmt.Errorf("rank %d batch %d: %w", rank, c, err)
-					}
-					endUpload()
+				// The rank loop is sequential, so the filter fills the ring
+				// slots directly; the combined work lands in the filter span
+				// and the upload span records the (now empty) handoff.
+				endFilter := reg.Span("filter", c)
+				if err := fuseUpload(ring, st, fdk, parker, 1); err != nil {
+					return fmt.Errorf("rank %d batch %d filter: %w", rank, c, err)
 				}
+				endFilter()
+				endUpload := reg.Span("upload", c)
+				endUpload()
 			}
 			prev = rows
 
@@ -369,17 +337,10 @@ func RunDistributed(opts ClusterOptions) (*ClusterReport, error) {
 			// Segmented reduction: only within the group (Figure 3b),
 			// chunk-pipelined through the tree by default.
 			endReduce := reg.Span("reduce", c)
-			switch {
-			case opts.Hierarchical:
+			if opts.Hierarchical {
 				err = group.HierarchicalReduce(0, slab.Data, opts.RanksPerNode)
-			case opts.ReduceChunk >= 0:
-				chunk := opts.ReduceChunk
-				if chunk == 0 {
-					chunk = p.Sys.NX * p.Sys.NY
-				}
-				err = group.ReduceChunked(0, slab.Data, chunk)
-			default:
-				err = group.Reduce(0, slab.Data)
+			} else {
+				err = group.ReduceChunked(0, slab.Data, p.Sys.NX*p.Sys.NY)
 			}
 			endReduce()
 			if err != nil {

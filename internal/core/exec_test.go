@@ -3,148 +3,35 @@ package core
 import (
 	"testing"
 
-	"distfdk/internal/device"
 	"distfdk/internal/mpi"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
 	"distfdk/internal/volume"
 )
 
-// Elastic back-projection (BPWorkers > 1) must be a pure scheduling change:
-// the volume is bit-identical to the sequential stage, the device balance
-// still returns to zero, and each detector row still crosses the link
-// exactly once (the deeper ring changes retention, not traffic).
-func TestElasticBackprojectionBitIdentical(t *testing.T) {
-	sys := testSystem()
-	st := sheppStack(t, sys)
-	src := &projection.MemorySource{Full: st}
-
-	run := func(workers, batches int) (*volume.Volume, *ReconReport, *device.Device) {
-		p, err := NewPlan(sys, 1, 1, batches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink, _ := NewVolumeSink(sys)
-		dev := device.New("t", 0, 2)
-		rep, err := ReconstructSingle(ReconOptions{
-			Plan: p, Source: src, Device: dev, Sink: sink, BPWorkers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return sink.V, rep, dev
-	}
-
-	for _, batches := range []int{4, 8} {
-		want, wantRep, _ := run(1, batches)
-		for _, workers := range []int{2, 4} {
-			got, rep, dev := run(workers, batches)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("batches=%d workers=%d: voxel %d: elastic %g != sequential %g",
-						batches, workers, i, got.Data[i], want.Data[i])
-				}
-			}
-			if rep.Slabs != wantRep.Slabs {
-				t.Fatalf("batches=%d workers=%d: %d slabs, want %d", batches, workers, rep.Slabs, wantRep.Slabs)
-			}
-			if rep.Ledger.H2DBytes != wantRep.Ledger.H2DBytes {
-				t.Fatalf("batches=%d workers=%d: H2D %d bytes, sequential moved %d",
-					batches, workers, rep.Ledger.H2DBytes, wantRep.Ledger.H2DBytes)
-			}
-			if dev.Allocated() != 0 {
-				t.Fatalf("batches=%d workers=%d: device memory leaked: %d", batches, workers, dev.Allocated())
-			}
-		}
-	}
-}
-
-// BPWorkers must compose with a constrained device: the deeper elastic ring
-// charges the budget honestly and the reconstruction still matches.
-func TestElasticBackprojectionOutOfCore(t *testing.T) {
-	sys := testSystem()
-	st := sheppStack(t, sys)
-	src := &projection.MemorySource{Full: st}
-
-	p, _ := NewPlan(sys, 1, 1, 8)
-	seq, _ := NewVolumeSink(sys)
-	if _, err := ReconstructSingle(ReconOptions{
-		Plan: p, Source: src, Device: device.New("seq", 0, 2), Sink: seq,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Size the budget to what the elastic run needs: windowed ring + slab.
-	releaseLag := pipeline.UpstreamCompletionLag(pipeline.DefaultQueueDepth, 4) // as in single.go
-	ringBytes := 4 * int64(sys.NU) * int64(sys.NP) * int64(p.RingDepthWindow(0, releaseLag+1))
-	budget := ringBytes + 4*p.SlabBytes()
-	ela, _ := NewVolumeSink(sys)
-	dev := device.New("ela", budget, 2)
-	if _, err := ReconstructSingle(ReconOptions{
-		Plan: p, Source: src, Device: dev, Sink: ela, BPWorkers: 4,
-	}); err != nil {
-		t.Fatalf("elastic run under budget %d: %v", budget, err)
-	}
-	stats, _ := volume.Compare(seq.V, ela.V)
-	if stats.MaxAbs != 0 {
-		t.Fatalf("elastic out-of-core result differs: %+v", stats)
-	}
-	if dev.Allocated() != 0 {
-		t.Fatalf("device memory leaked: %d", dev.Allocated())
-	}
-}
-
-// The windowed ring depth must dominate the single-batch depth and be
-// monotone in the window.
-func TestRingDepthWindow(t *testing.T) {
-	p, _ := NewPlan(testSystem(), 1, 1, 8)
-	prev := 0
-	for w := 1; w <= 6; w++ {
-		d := p.RingDepthWindow(0, w)
-		if d < prev {
-			t.Fatalf("window %d: depth %d shrank from %d", w, d, prev)
-		}
-		prev = d
-	}
-	if p.RingDepthWindow(0, 1) != p.RingDepth(0) {
-		t.Fatalf("window 1 depth %d != RingDepth %d", p.RingDepthWindow(0, 1), p.RingDepth(0))
-	}
-	if p.RingDepthWindow(0, 0) != p.RingDepth(0) {
-		t.Fatal("window < 1 should clamp to 1")
-	}
-}
-
-// Every reduction configuration of RunDistributed — plain, chunked at any
-// chunk size, pooled or not — must assemble bit-identical volumes: the
-// executor work is pure plumbing.
+// RunDistributed's reduction must assemble bit-identical volumes whether
+// the collectives draw their buffers from the pool or allocate per step:
+// pooling is pure plumbing. (Chunk-size invariance of the reduction itself
+// is pinned in internal/mpi by TestReductionPathsBitIdentical.)
 func TestDistributedReduceVariantsBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
 
-	run := func(reduceChunk int, pooled bool) *volume.Volume {
+	run := func(pooled bool) *volume.Volume {
 		prevPool := mpi.SetBufferPooling(pooled)
 		defer mpi.SetBufferPooling(prevPool)
 		p, _ := NewPlan(sys, 2, 2, 4)
 		sink, _ := NewVolumeSink(sys)
-		if _, err := RunDistributed(ClusterOptions{
-			Plan: p, Source: src, Output: sink, ReduceChunk: reduceChunk,
-		}); err != nil {
-			t.Fatalf("chunk=%d pooled=%v: %v", reduceChunk, pooled, err)
+		if _, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: sink}); err != nil {
+			t.Fatalf("pooled=%v: %v", pooled, err)
 		}
 		return sink.V
 	}
 
-	want := run(-1, false) // monolithic Reduce, allocate-per-step
-	for _, chunk := range []int{-1, 0, 1, 97, 1 << 20} {
-		for _, pooled := range []bool{true, false} {
-			got := run(chunk, pooled)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("chunk=%d pooled=%v: voxel %d differs from plain unpooled Reduce",
-						chunk, pooled, i)
-				}
-			}
+	want, got := run(false), run(true)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("voxel %d: pooled %g != unpooled %g", i, got.Data[i], want.Data[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"distfdk/internal/device"
@@ -9,67 +8,20 @@ import (
 	"distfdk/internal/projection"
 )
 
-// FusionMode selects whether the filter→back-project handoff is fused:
-// instead of weighting and ramp-filtering the loaded stack in place and
-// then copying it row by row into the projection ring, the fused path
-// filters each (row, projection) straight into its ring slot
-// (ProjRing.FillRows + FDK.FilterRowInto), eliminating the intermediate
-// host-stack write and the upload memcpy. The fused arithmetic is
-// bit-identical to the unfused sequence — FilterRowInto rounds the
-// redundancy product to float32 before the cosine weight exactly as
-// ApplyRow-then-FilterRow does — so the mode never changes the volume,
-// only the traffic.
-type FusionMode int
-
-const (
-	// FusionAuto fuses wherever the handoff is already sequential: the
-	// serial (DisablePipeline) driver, the elastic driver's dedicated
-	// upload stage, and the distributed per-rank batch loop. The
-	// non-elastic *pipelined* single-device path stays unfused: there the
-	// filter stage overlaps the previous batch's back-projection, and all
-	// ring mutation belongs to the back-project stage — fusing would
-	// serialise the filter work behind the kernel (and filtering from any
-	// other stage would race the kernel's ring reads).
-	FusionAuto FusionMode = iota
-	// FusionOn forces fusion in every driver path. Ring mutation still
-	// happens only in the stage that owns it, so this is race-free even
-	// on the non-elastic pipelined path — it just forfeits that path's
-	// filter/back-project overlap in exchange for the saved pass.
-	FusionOn
-	// FusionOff always takes the unfused ApplyRow → FilterRows →
-	// LoadRows sequence.
-	FusionOff
-)
-
-// ParseFusionMode maps the CLI spelling to a FusionMode.
-func ParseFusionMode(s string) (FusionMode, error) {
-	switch s {
-	case "", "auto":
-		return FusionAuto, nil
-	case "on":
-		return FusionOn, nil
-	case "off":
-		return FusionOff, nil
-	}
-	return 0, fmt.Errorf("core: unknown fusion mode %q (auto, on, off)", s)
-}
-
-func (m FusionMode) String() string {
-	switch m {
-	case FusionOn:
-		return "on"
-	case FusionOff:
-		return "off"
-	}
-	return "auto"
-}
-
 // fuseUpload admits st's rows to the ring, producing each slot by
 // filtering the raw stack row directly into it: Parker redundancy weights
 // (nil for a full scan) and the FDK cosine/ramp filter are applied by
-// FilterRowInto on the way. The (row, projection) fills run on `workers`
-// goroutines with pooled FFT scratch. st must hold *unfiltered* data; its
-// projection window must match the ring's.
+// FilterRowInto on the way. This skips the intermediate host-stack write
+// and the upload copy of the ApplyRow → FilterRows → LoadRows sequence,
+// and is bit-identical to it: FilterRowInto rounds the redundancy product
+// to float32 before the cosine weight exactly as ApplyRow-then-FilterRow
+// does. The distributed per-rank batch loop, which is sequential anyway,
+// uploads through it; the pipelined single-device driver keeps a separate
+// filter stage so filtering overlaps back-projection.
+//
+// The (row, projection) fills run on `workers` goroutines with pooled FFT
+// scratch. st must hold *unfiltered* data; its projection window must
+// match the ring's.
 func fuseUpload(ring *device.ProjRing, st *projection.Stack, fdk *filter.FDK, pk *filter.Parker, workers int) error {
 	if st == nil {
 		return nil

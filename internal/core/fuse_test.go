@@ -7,54 +7,49 @@ import (
 	"distfdk/internal/projection"
 )
 
-// Every fusion mode and driver shape must produce the same volume to the
-// last bit: FilterRowInto's rounding matches ApplyRow-then-FilterRow
-// exactly, and fusion only moves where the filtered row is written, never
-// what is written.
+// The two drivers upload differently — ReconstructSingle filters the host
+// stack in its own stage and copies it into the ring, RunDistributed fills
+// the ring slots straight from the filter (fuseUpload) — and must still
+// produce the same volume to the last bit: FilterRowInto's rounding
+// matches ApplyRow-then-FilterRow exactly, so fusion only moves where the
+// filtered row is written, never what is written. On a 1×1 plan the
+// distributed reduction is a 1-rank identity, so the whole volume is
+// compared, pipelined and serial, at batch counts that give one slab,
+// even slabs and an uneven tail.
 func TestFusionBitIdentical(t *testing.T) {
 	sys := testSystem()
 	st := sheppStack(t, sys)
 	src := &projection.MemorySource{Full: st}
-	p, err := NewPlan(sys, 1, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	run := func(name string, mutate func(*ReconOptions)) []float32 {
-		t.Helper()
-		sink, err := NewVolumeSink(sys)
+	for _, batches := range []int{1, 4, 7} {
+		p, err := NewPlan(sys, 1, 1, batches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := ReconOptions{
-			Plan: p, Source: src,
-			Device: device.New(name, 0, 2),
-			Sink:   sink,
+		fusedSink, err := NewVolumeSink(sys)
+		if err != nil {
+			t.Fatal(err)
 		}
-		mutate(&opts)
-		if _, err := ReconstructSingle(opts); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if _, err := RunDistributed(ClusterOptions{Plan: p, Source: src, Output: fusedSink}); err != nil {
+			t.Fatalf("batches=%d distributed: %v", batches, err)
 		}
-		return sink.V.Data
-	}
-
-	ref := run("unfused", func(o *ReconOptions) { o.Fusion = FusionOff })
-	cases := map[string]func(*ReconOptions){
-		// Pipelined non-elastic: FusionAuto stays unfused, FusionOn fuses
-		// inside the back-project stage.
-		"auto-pipelined":  func(o *ReconOptions) {},
-		"on-pipelined":    func(o *ReconOptions) { o.Fusion = FusionOn },
-		"auto-serial":     func(o *ReconOptions) { o.DisablePipeline = true },
-		"off-serial":      func(o *ReconOptions) { o.DisablePipeline = true; o.Fusion = FusionOff },
-		"auto-elastic":    func(o *ReconOptions) { o.BPWorkers = 2 },
-		"off-elastic":     func(o *ReconOptions) { o.BPWorkers = 2; o.Fusion = FusionOff },
-		"fused-projmajor": func(o *ReconOptions) { o.Fusion = FusionOn; o.RingLayout = device.LayoutProjMajor },
-	}
-	for name, mutate := range cases {
-		got := run(name, mutate)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: voxel %d: %g != unfused %g", name, i, got[i], ref[i])
+		want := fusedSink.V.Data
+		for _, serial := range []bool{false, true} {
+			sink, err := NewVolumeSink(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReconstructSingle(ReconOptions{
+				Plan: p, Source: src, Device: device.New("single", 0, 2),
+				Sink: sink, DisablePipeline: serial,
+			}); err != nil {
+				t.Fatalf("batches=%d serial=%v: %v", batches, serial, err)
+			}
+			for i, v := range sink.V.Data {
+				if v != want[i] {
+					t.Fatalf("batches=%d serial=%v: voxel %d: unfused %g != fused %g",
+						batches, serial, i, v, want[i])
+				}
 			}
 		}
 	}

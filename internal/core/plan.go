@@ -119,29 +119,6 @@ func (p *Plan) RingDepth(g int) int {
 	return h
 }
 
-// RingDepthWindow returns the ring depth (in detector rows) a rank of
-// group g needs when up to `window` consecutive batches must stay resident
-// simultaneously: the largest union of any `window` consecutive batches'
-// row ranges. Elastic back-projection (ReconOptions.BPWorkers > 1) keeps
-// in-flight batches readable while later batches load, so it sizes the
-// ring by this window instead of the single-batch RingDepth.
-func (p *Plan) RingDepthWindow(g, window int) int {
-	if window < 1 {
-		window = 1
-	}
-	h := 0
-	for c := 0; c < p.BatchCount; c++ {
-		u := geometry.RowRange{}
-		for b := max(0, c-window+1); b <= c; b++ {
-			u = u.Union(p.SlabRows(g, b))
-		}
-		if l := u.Len(); l > h {
-			h = l
-		}
-	}
-	return h
-}
-
 // MaxRingDepth returns the ring depth sufficient for every group.
 func (p *Plan) MaxRingDepth() int {
 	h := 0

@@ -103,26 +103,8 @@ type ReconOptions struct {
 	// Kernel selects the back-projection arithmetic (default
 	// KernelRecurrence; KernelExact retains the PR-1 per-sample form).
 	Kernel backproject.Kernel
-	// RingLayout selects the projection ring's memory layout (default
-	// row-interleaved).
-	RingLayout device.RingLayout
-	// Fusion controls the filter→upload handoff (default FusionAuto; see
-	// FusionMode).
-	Fusion FusionMode
 	// Sink receives finished slabs (required).
 	Sink SlabSink
-	// BPWorkers sets the worker count of the back-projection stage.
-	// Values > 1 make the stage elastic: batches back-project concurrently
-	// behind a reorder buffer, with ring uploads split into a dedicated
-	// sequential stage that releases rows only once the pipeline's
-	// in-flight bound proves no concurrent batch can still read them (the
-	// ring is sized deeper to match). The
-	// reconstruction is bit-identical to BPWorkers=1. Falls back to the
-	// sequential stage when the slab schedule needs a ring reset (disjoint
-	// row ranges) or the pipeline is disabled.
-	BPWorkers int
-	// Tracer, when set, records the Figure 10-style pipeline timeline.
-	Tracer *pipeline.Tracer
 	// DisablePipeline runs the stages serially (for ablation only).
 	DisablePipeline bool
 	// Retry, when set, retries transient load and store failures with
@@ -135,30 +117,11 @@ type ReconOptions struct {
 	// batch. The resumed volume is bit-identical to an uninterrupted one.
 	Checkpoint CheckpointLog
 	// Telemetry, when set, collects the run's metrics and spans: pipeline
-	// stage spans and credit waits, ring traffic, and retry activity all
-	// report into this registry. When Tracer is nil a tracer backed by
-	// this registry is installed so the stage timeline and the exported
-	// trace share one span set. Nil keeps every instrumented path at a
-	// single pointer check.
+	// stage spans, ring traffic and retry activity all report into this
+	// registry, so the Figure 10 timeline (telemetry.RenderGantt over its
+	// spans) and the exported trace share one span set. Nil keeps every
+	// instrumented path at a single pointer check.
 	Telemetry *telemetry.Registry
-}
-
-// slabRowsMonotone reports whether consecutive non-empty batches of group g
-// always overlap or abut upward (no ring Reset ever needed) — the regime in
-// which elastic back-projection's lagged release is valid.
-func slabRowsMonotone(p *Plan, g int) bool {
-	prev := geometry.RowRange{}
-	for c := 0; c < p.BatchCount; c++ {
-		rows := p.SlabRows(g, c)
-		if rows.IsEmpty() {
-			continue
-		}
-		if !prev.IsEmpty() && (rows.Lo >= prev.Hi || rows.Lo < prev.Lo) {
-			return false
-		}
-		prev = rows
-	}
-	return true
 }
 
 // ReconReport summarises a reconstruction run.
@@ -198,42 +161,7 @@ func ReconstructSingle(opts ReconOptions) (*ReconReport, error) {
 	}
 	mats := KernelMatrices(p.Sys, 0, p.Sys.NP)
 
-	// Elastic back-projection needs a deeper ring (rows of every possibly
-	// in-flight batch stay resident) and a schedule that never resets the
-	// ring; otherwise fall back to the sequential stage.
-	bpWorkers := opts.BPWorkers
-	if bpWorkers < 1 {
-		bpWorkers = 1
-	}
-	elastic := bpWorkers > 1 && !opts.DisablePipeline && slabRowsMonotone(p, 0)
-	if !elastic {
-		bpWorkers = 1
-	}
-	// The release lag is derived from the pipeline's completion guarantee,
-	// not an estimate of buffering: UpstreamCompletionLag proves that while
-	// the (sequential) upload stage processes batch c, every batch below
-	// c − releaseLag has finished back-projecting — the connecting queue
-	// holds at most queueDepth batches the elastic stage has not taken, and
-	// dispatch credits keep any taken batch within InFlightBound of the
-	// in-order completion cursor. Any batch still reading the ring thus has
-	// index ≥ c − releaseLag, and with monotone slab rows it only needs
-	// rows at or above batch (c−releaseLag)'s start — exactly the watermark
-	// uploadStage releases to, so a straggling batch can stall indefinitely
-	// without its rows being evicted. queueDepth is pinned here and
-	// installed on the pipeline below so the coupling cannot silently
-	// drift if the depth is ever tuned.
-	queueDepth := pipeline.DefaultQueueDepth
-	releaseLag := pipeline.UpstreamCompletionLag(queueDepth, bpWorkers)
-	depth := p.RingDepth(0)
-	if elastic {
-		depth = p.RingDepthWindow(0, releaseLag+1)
-	}
-	// Fusion: filter straight into ring slots wherever the handoff is
-	// sequential (see FusionMode). The stage that owns ring mutation does
-	// the fused fill, so no mode introduces a mutation/read race.
-	fused := opts.Fusion == FusionOn ||
-		(opts.Fusion == FusionAuto && (opts.DisablePipeline || elastic))
-	ring, err := device.NewProjRingLayout(opts.Device, p.Sys.NU, p.Sys.NP, depth, opts.RingLayout)
+	ring, err := device.NewProjRing(opts.Device, p.Sys.NU, p.Sys.NP, p.RingDepth(0))
 	if err != nil {
 		return nil, err
 	}
@@ -284,9 +212,7 @@ func ReconstructSingle(opts ReconOptions) (*ReconReport, error) {
 	}
 	filterStage := func(c int, in any) (any, error) {
 		st, _ := in.(*projection.Stack)
-		if st == nil || fused {
-			// Fused: the raw stack flows through; the ring-owning stage
-			// filters it into the slots (fuseUpload).
+		if st == nil {
 			return in, nil
 		}
 		if err := applyParker(parker, st); err != nil {
@@ -310,12 +236,11 @@ func ReconstructSingle(opts ReconOptions) (*ReconReport, error) {
 		} else {
 			ring.Release(rows.Lo)
 		}
+		// All ring mutation happens here, in the stage that also launches
+		// the kernel reading the ring, so the two never overlap; the filter
+		// stage meanwhile works on the next batch's host stack.
 		if st, _ := in.(*projection.Stack); st != nil {
-			if fused {
-				if err := fuseUpload(ring, st, fdk, parker, opts.FilterWorkers); err != nil {
-					return nil, err
-				}
-			} else if err := ring.LoadRows(st, st.Rows()); err != nil {
+			if err := ring.LoadRows(st, st.Rows()); err != nil {
 				return nil, err
 			}
 		}
@@ -331,52 +256,6 @@ func ReconstructSingle(opts ReconOptions) (*ReconReport, error) {
 		opts.Device.RecordD2H(slab.Bytes())
 		return slab, nil
 	}
-	// The elastic split of bpStage: a sequential upload stage owns all ring
-	// mutation, releasing rows only below the start of batch c−releaseLag —
-	// rows that, by the pipeline's in-flight bound (see releaseLag above),
-	// no batch still back-projecting can touch; the back-project stage then
-	// only reads the ring and can run its batches concurrently.
-	uploadStage := func(c int, in any) (any, error) {
-		if _, ok := in.(skipBatch); ok {
-			return in, nil // checkpointed batch: leave the ring alone
-		}
-		rows := p.SlabRows(0, c)
-		if rows.IsEmpty() {
-			return nil, nil
-		}
-		if rc := c - releaseLag; rc >= 0 {
-			if wm := p.SlabRows(0, rc); !wm.IsEmpty() {
-				ring.Release(wm.Lo)
-			}
-		}
-		if st, _ := in.(*projection.Stack); st != nil {
-			if fused {
-				if err := fuseUpload(ring, st, fdk, parker, opts.FilterWorkers); err != nil {
-					return nil, err
-				}
-			} else if err := ring.LoadRows(st, st.Rows()); err != nil {
-				return nil, err
-			}
-		}
-		return rows, nil
-	}
-	bpCompute := func(c int, in any) (any, error) {
-		rows, ok := in.(geometry.RowRange)
-		if !ok {
-			return nil, nil
-		}
-		z0, nz := p.SlabZ(0, c)
-		slab, err := volume.NewSlab(p.Sys.NX, p.Sys.NY, nz, z0)
-		if err != nil {
-			return nil, err
-		}
-		if err := backproject.StreamingKernel(opts.Device, ring, mats, slab, rows, opts.Kernel); err != nil {
-			return nil, err
-		}
-		opts.Device.RecordD2H(slab.Bytes())
-		return slab, nil
-	}
-
 	storeStage := func(c int, in any) (any, error) {
 		slab, _ := in.(*volume.Volume)
 		if slab == nil {
@@ -409,33 +288,16 @@ func ReconstructSingle(opts ReconOptions) (*ReconReport, error) {
 			}
 		}
 	} else {
-		stages := []pipeline.Stage{
-			{Name: "load", Fn: loadStage},
-			{Name: "filter", Fn: filterStage},
-		}
-		if elastic {
-			stages = append(stages,
-				pipeline.Stage{Name: "upload", Fn: uploadStage},
-				pipeline.Stage{Name: "backproject", Workers: bpWorkers, Fn: bpCompute},
-			)
-		} else {
-			stages = append(stages, pipeline.Stage{Name: "backproject", Fn: bpStage})
-		}
-		stages = append(stages, pipeline.Stage{Name: "store", Fn: storeStage})
-		pl, err := pipeline.New(stages...)
+		pl, err := pipeline.New(
+			pipeline.Stage{Name: "load", Fn: loadStage},
+			pipeline.Stage{Name: "filter", Fn: filterStage},
+			pipeline.Stage{Name: "backproject", Fn: bpStage},
+			pipeline.Stage{Name: "store", Fn: storeStage},
+		)
 		if err != nil {
 			return nil, err
 		}
-		// releaseLag and the ring depth were derived from queueDepth above;
-		// installing it explicitly asserts the coupling in code.
-		pl.QueueDepth = queueDepth
-		pl.Tracer = opts.Tracer
 		pl.Telemetry = opts.Telemetry
-		if pl.Tracer == nil && opts.Telemetry != nil {
-			// Stage spans land in the run registry so the exported trace
-			// and the ASCII timeline share one span set.
-			pl.Tracer = pipeline.TracerFor(opts.Telemetry)
-		}
 		if err := pl.Run(p.BatchCount); err != nil {
 			return nil, err
 		}

@@ -64,6 +64,65 @@ func ValidateKernelBenchJSON(data []byte) (*KernelBenchFile, error) {
 	return &f, nil
 }
 
+// ExecBenchFile is the BENCH_exec.json envelope. The ledger is frozen:
+// the scale-out executor benchmark that appended to it is retired, and
+// the types below only describe its recorded rows so they stay validated.
+type ExecBenchFile struct {
+	Entries []*ExecBenchEntry `json:"entries"`
+}
+
+// ExecBenchEntry is one recorded run of the executor benchmark.
+type ExecBenchEntry struct {
+	Label       string            `json:"label"`
+	GitCommit   string            `json:"git_commit,omitempty"`
+	Timestamp   string            `json:"timestamp"`
+	GoVersion   string            `json:"go_version"`
+	GOMAXPROCS  int               `json:"gomaxprocs"`
+	Pipeline    []PipelineBench   `json:"pipeline"`
+	Recon       []ReconBench      `json:"recon,omitempty"`
+	Collectives []CollectiveBench `json:"collectives"`
+}
+
+// PipelineBench is one sleep-modelled pipeline throughput measurement at
+// a given back-projection stage width.
+type PipelineBench struct {
+	Workers       int     `json:"workers"`
+	Batches       int     `json:"batches"`
+	Seconds       float64 `json:"seconds"` // best-of-reps wall time
+	BatchesPerSec float64 `json:"batches_per_sec"`
+	Speedup       float64 `json:"speedup"` // relative to the Workers=1 row
+}
+
+// ReconBench is one end-to-end single-rank reconstruction measurement.
+type ReconBench struct {
+	Kernel  string  `json:"kernel"` // back-projection arithmetic
+	Width   int     `json:"bp_workers"`
+	Slabs   int     `json:"slabs"`
+	Updates int64   `json:"updates"`
+	Seconds float64 `json:"seconds"` // best-of-reps wall time
+	GUPS    float64 `json:"gups"`
+	Speedup float64 `json:"speedup"` // relative to the first recon row
+	// Fallback records that a simd request degraded to the recurrence
+	// kernel on the recording host.
+	Fallback bool `json:"fallback,omitempty"`
+}
+
+// CollectiveBench is one reduction measurement.
+type CollectiveBench struct {
+	Variant string  `json:"variant"` // "reduce", "reduce_chunked", "hierarchical"
+	Pooled  bool    `json:"pooled"`
+	Ranks   int     `json:"ranks"`
+	Elems   int     `json:"elems"`
+	Chunk   int     `json:"chunk,omitempty"`
+	Seconds float64 `json:"seconds"` // best-of-reps wall time
+	// GBPerSec rates the tree traffic (ranks−1 buffers) against wall time.
+	GBPerSec       float64 `json:"gb_per_sec"`
+	AllocBytesOp   uint64  `json:"alloc_bytes_per_op"`
+	AllocObjectsOp uint64  `json:"alloc_objects_per_op"`
+	PoolGetsOp     int64   `json:"pool_gets_per_op"`
+	PoolMissesOp   int64   `json:"pool_misses_per_op"`
+}
+
 // ValidateExecBenchJSON checks a BENCH_exec.json ledger with the same
 // contract as ValidateKernelBenchJSON.
 func ValidateExecBenchJSON(data []byte) (*ExecBenchFile, error) {

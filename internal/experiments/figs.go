@@ -11,7 +11,7 @@ import (
 	"distfdk/internal/dessim"
 	"distfdk/internal/device"
 	"distfdk/internal/perfmodel"
-	"distfdk/internal/pipeline"
+	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -76,14 +76,16 @@ func Fig10(outDir string, workers int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracer := pipeline.NewTracer()
+	reg := telemetry.NewRegistry()
 	if _, err := core.ReconstructSingle(core.ReconOptions{
 		Plan: plan, Source: sc.Source, Device: device.New("fig10a", 0, workers),
-		Sink: sink, Tracer: tracer,
+		Sink: sink, Telemetry: reg,
 	}); err != nil {
 		return nil, err
 	}
-	realChart := tracer.RenderASCII([]string{"load", "filter", "backproject", "store"}, 100)
+	spans := reg.Spans()
+	realChart := telemetry.RenderGantt(spans, []string{"load", "filter", "backproject", "store"}, 100)
+	stats := telemetry.ComputeSpanStats(spans)
 
 	// (b) Paper-scale simulation: bumblebee → 4096³ on 128 devices.
 	ds, err := dataset.ByName("bumblebee")
@@ -119,11 +121,11 @@ func Fig10(outDir string, workers int) (*Table, error) {
 
 	t := &Table{Title: "Figure 10 — end-to-end pipeline timelines", Header: []string{"artifact", "value"}}
 	t.AddRow("timeline file", path)
-	t.AddRow("real run total", fmtSeconds(tracer.Total().Seconds()))
-	busy := tracer.BusyByStage()
+	t.AddRow("real run total", fmtSeconds(stats.Total.Seconds()))
+	busy := stats.Busy
 	serial := busy["load"] + busy["filter"] + busy["backproject"] + busy["store"]
 	t.AddRow("real overlap factor", fmt.Sprintf("%.2fx (serial %s / wall %s)",
-		serial.Seconds()/tracer.Total().Seconds(), fmtSeconds(serial.Seconds()), fmtSeconds(tracer.Total().Seconds())))
+		serial.Seconds()/stats.Total.Seconds(), fmtSeconds(serial.Seconds()), fmtSeconds(stats.Total.Seconds())))
 	t.AddRow("simulated 128-GPU runtime", fmtSeconds(sim.Runtime))
 	t.AddNote("paper's Figure 10b reports ~23.3 s for bumblebee 4096³ on 128 GPUs including I/O")
 	return t, nil

@@ -33,9 +33,6 @@ type KernelBenchOptions struct {
 	// (default) or "exact" (the PR-1 escape hatch, the "before" row of a
 	// before/after pair).
 	Kernel string
-	// RingLayout selects the streaming ring's memory layout:
-	// "interleaved" (default) or "proj-major".
-	RingLayout string
 	// Parity, when set, validates the recurrence kernel against the exact
 	// kernel on the benchmark scenario (RMSE/max-abs inside the
 	// backproject parity gates, streaming bit-identical to batch) and
@@ -53,10 +50,14 @@ type KernelBenchOptions struct {
 type BackprojBench struct {
 	Kernel     string `json:"kernel"`     // "streaming" or "batch"
 	Arithmetic string `json:"arithmetic"` // "recurrence" or "exact"
-	Layout     string `json:"layout,omitempty"`
-	OutN       int    `json:"out_n"`
-	NP         int    `json:"np"`
-	Updates    int64  `json:"updates"`
+	// Layout is the ring layout older streaming rows recorded
+	// ("interleaved"); the ring has one layout now, so new rows leave it
+	// empty, but the field keeps the history intact when the ledger is
+	// rewritten on append.
+	Layout  string `json:"layout,omitempty"`
+	OutN    int    `json:"out_n"`
+	NP      int    `json:"np"`
+	Updates int64  `json:"updates"`
 	// Sample-path split of the best rep (recurrence kernel only):
 	// interior fast-path, guarded border, provably-zero skipped, and the
 	// re-anchor count behind the drift bound.
@@ -97,7 +98,7 @@ type ParityReport struct {
 	// empty in pre-PR-7 entries, which validated the recurrence kernel.
 	Arithmetic string  `json:"arithmetic,omitempty"`
 	RMSE       float64 `json:"rmse"`
-	MaxAbs float64 `json:"max_abs"`
+	MaxAbs     float64 `json:"max_abs"`
 	// Scale is the exact volume's max magnitude; the package gates are
 	// stated for unit-scale data, so the effective gates below are the
 	// package constants times max(1, Scale).
@@ -229,10 +230,6 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 	if err != nil {
 		return nil, err
 	}
-	layout, err := device.ParseRingLayout(opts.RingLayout)
-	if err != nil {
-		return nil, err
-	}
 	var best time.Duration
 	var bestLedger device.Ledger
 	var m0, m1 runtime.MemStats
@@ -246,7 +243,7 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 			if err != nil {
 				return nil, err
 			}
-			ring, err := device.NewProjRingLayout(dev, sys.NU, sys.NP, sys.NV, layout)
+			ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
 			if err != nil {
 				return nil, err
 			}
@@ -309,9 +306,6 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 		AllocBytesRep:   (m1.TotalAlloc - m0.TotalAlloc) / reps,
 		AllocObjectsRep: (m1.Mallocs - m0.Mallocs) / reps,
 	}
-	if streaming {
-		bb.Layout = layout.String()
-	}
 	return bb, nil
 }
 
@@ -322,10 +316,6 @@ func benchBackprojection(sc *Scenario, streaming bool, opts KernelBenchOptions) 
 func validateParity(sc *Scenario, opts KernelBenchOptions, fast backproject.Kernel) (*ParityReport, error) {
 	sys := sc.Sys
 	mats := core.KernelMatrices(sys, 0, sys.NP)
-	layout, err := device.ParseRingLayout(opts.RingLayout)
-	if err != nil {
-		return nil, err
-	}
 
 	exact, err := volume.New(sys.NX, sys.NY, sys.NZ)
 	if err != nil {
@@ -344,7 +334,7 @@ func validateParity(sc *Scenario, opts KernelBenchOptions, fast backproject.Kern
 
 	// Streaming decomposition identity under the kernel being validated.
 	dev := device.New("parity-stream", 0, opts.Workers)
-	ring, err := device.NewProjRingLayout(dev, sys.NU, sys.NP, sys.NV, layout)
+	ring, err := device.NewProjRing(dev, sys.NU, sys.NP, sys.NV)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,8 @@ import (
 	"distfdk/internal/dataset"
 	"distfdk/internal/device"
 	"distfdk/internal/perfmodel"
-	"distfdk/internal/pipeline"
 	"distfdk/internal/projection"
+	"distfdk/internal/telemetry"
 	"distfdk/internal/volume"
 )
 
@@ -52,14 +52,14 @@ func Table5Real(workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tracer := pipeline.NewTracer()
+		reg := telemetry.NewRegistry()
 		rep, err := core.ReconstructSingle(core.ReconOptions{
-			Plan: plan, Source: scN.Source, Device: dev, Sink: sink, Tracer: tracer,
+			Plan: plan, Source: scN.Source, Device: dev, Sink: sink, Telemetry: reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table5: ours at %d³: %w", n, err)
 		}
-		busy := tracer.BusyByStage()
+		busy := telemetry.ComputeSpanStats(reg.Spans()).Busy
 		oursGUPS := gupsFromLedger(rep.Ledger, busy["backproject"])
 
 		rtkGUPS, rtkStatus := runRTKBaseline(scN, budget, workers)

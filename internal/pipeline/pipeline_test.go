@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"distfdk/internal/telemetry"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -106,9 +108,9 @@ func TestStagesOverlap(t *testing.T) {
 			return nil, nil
 		}}
 	}
-	tr := NewTracer()
+	reg := telemetry.NewRegistry()
 	p, _ := New(mk("load"), mk("filter"), mk("bp"), mk("mpi"), mk("store"))
-	p.Tracer = tr
+	p.Telemetry = reg
 	start := time.Now()
 	if err := p.Run(6); err != nil {
 		t.Fatal(err)
@@ -117,10 +119,11 @@ func TestStagesOverlap(t *testing.T) {
 	if serial := 30 * d; elapsed > serial*3/4 {
 		t.Fatalf("pipeline took %v, want well under serial %v", elapsed, serial)
 	}
-	if got := len(tr.Spans()); got != 30 {
+	spans := reg.Spans()
+	if got := len(spans); got != 30 {
 		t.Fatalf("traced %d spans, want 30", got)
 	}
-	busy := tr.BusyByStage()
+	busy := telemetry.ComputeSpanStats(spans).Busy
 	for _, stage := range []string{"load", "filter", "bp", "mpi", "store"} {
 		if busy[stage] < 6*d*8/10 {
 			t.Fatalf("stage %s busy %v, want ≈ %v", stage, busy[stage], 6*d)
@@ -162,67 +165,14 @@ func TestQueueDepthBoundsBuffering(t *testing.T) {
 	}
 }
 
-func TestTracerSpans(t *testing.T) {
-	tr := NewTracer()
-	end := tr.Span("x", 3)
-	time.Sleep(2 * time.Millisecond)
-	end()
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %v", spans)
+func TestRunRejectsInvalidQueueDepth(t *testing.T) {
+	p, _ := New(Stage{Name: "a", Fn: func(int, any) (any, error) { return nil, nil }})
+	p.QueueDepth = 0
+	if err := p.Run(3); err == nil || !strings.Contains(err.Error(), "QueueDepth") {
+		t.Fatalf("expected QueueDepth validation error, got %v", err)
 	}
-	s := spans[0]
-	if s.Stage != "x" || s.Batch != 3 || s.End <= s.Start {
-		t.Fatalf("bad span %+v", s)
-	}
-	if tr.Total() != s.End {
-		t.Fatalf("Total %v, want %v", tr.Total(), s.End)
-	}
-}
-
-func TestRenderASCII(t *testing.T) {
-	tr := NewTracer()
-	for b := 0; b < 2; b++ {
-		end := tr.Span("load", b)
-		time.Sleep(time.Millisecond)
-		end()
-		end = tr.Span("store", b)
-		time.Sleep(time.Millisecond)
-		end()
-	}
-	out := tr.RenderASCII([]string{"load", "store"}, 40)
-	if !strings.Contains(out, "load") || !strings.Contains(out, "store") {
-		t.Fatalf("missing stage rows:\n%s", out)
-	}
-	if !strings.Contains(out, "0") || !strings.Contains(out, "1") {
-		t.Fatalf("missing batch marks:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header+2 rows, got %d:\n%s", len(lines), out)
-	}
-	empty := NewTracer()
-	if got := empty.RenderASCII([]string{"a"}, 40); got != "(no spans)\n" {
-		t.Fatalf("empty tracer rendered %q", got)
-	}
-}
-
-// A tracer whose only spans are instantaneous has a zero wall-clock
-// window; utilization and the rendered Gantt must stay finite instead of
-// dividing by the zero total.
-func TestTracerZeroTotalUtilization(t *testing.T) {
-	tr := NewTracer()
-	end := tr.Span("load", 0)
-	end() // closes immediately: Start == End at clock resolution is possible,
-	// so pin the degenerate case explicitly through the telemetry layer too.
-	u := tr.Utilization()
-	for stage, v := range u {
-		if v != v || v < 0 { // NaN check without importing math
-			t.Fatalf("Utilization[%s] = %v", stage, v)
-		}
-	}
-	out := tr.RenderASCII([]string{"load"}, 20)
-	if strings.Contains(out, "NaN") || strings.Contains(out, "%!") {
-		t.Fatalf("render corrupt:\n%s", out)
+	p.QueueDepth = -1
+	if err := p.Run(3); err == nil {
+		t.Fatal("expected QueueDepth validation error")
 	}
 }

@@ -158,7 +158,7 @@ var metricCatalog = map[string]string{
 	"overhead_ratio":              "telemetry-on ÷ telemetry-off fault-free wall-time medians",
 	"wall_time":                   "injected-arm wall time (ns)",
 	"critical_path_comm_fraction": "injected-arm share of the critical path spent in communication (reduce + mpi transfers), 0..1",
-	"critical_path_wait_fraction": "injected-arm share of the critical path spent idle (credit waits, blocked peers), 0..1",
+	"critical_path_wait_fraction": "injected-arm share of the critical path spent idle (queue waits, blocked peers), 0..1",
 	"reconnects":                  "socket-transport connection re-establishments (both link ends count)",
 	"retransmits":                 "socket-transport frames re-sent through replay after a sever, drop or corruption",
 	"crc_errors":                  "socket-transport frames rejected by the CRC check",

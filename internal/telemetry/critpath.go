@@ -9,7 +9,7 @@
 // communication. Every step tiles the makespan exactly — the attribution
 // sums to max(End) − min(Start) by construction, which is what the
 // acceptance test pins — so "where did the time go" has a closed answer:
-// compute, comm, credit-wait or retry-backoff, per rank × stage.
+// compute, comm, wait or retry-backoff, per rank × stage.
 package telemetry
 
 import (
@@ -74,7 +74,7 @@ type CriticalPath struct {
 	// Shares is the per-(rank, stage, class) breakdown, largest first.
 	Shares []CritShare `json:"shares"`
 	// CommFraction is ByClass[comm]/Makespan; WaitFraction is
-	// ByClass[wait]/Makespan (gaps: elastic credit waits, blocked peers).
+	// ByClass[wait]/Makespan (gaps: queue waits, blocked peers).
 	CommFraction float64 `json:"comm_fraction"`
 	WaitFraction float64 `json:"wait_fraction"`
 }
@@ -142,9 +142,9 @@ func ComputeCriticalPath(snaps []Snapshot) *CriticalPath {
 		sort.Slice(rc, func(i, j int) bool { return rc[i].End < rc[j].End })
 	}
 	// Among spans starting before t, the walk wants the one reaching
-	// furthest: overlapping spans (elastic workers) make "latest start" not
-	// necessarily "latest end". Prefix argmax over End makes that O(log n)
-	// per query.
+	// furthest: overlapping spans (concurrent pipeline stages) make
+	// "latest start" not necessarily "latest end". Prefix argmax over End
+	// makes that O(log n) per query.
 	farthestTo := map[int][]int{}
 	for r, sp := range spansByRank {
 		idx := make([]int, len(sp))
@@ -210,7 +210,7 @@ func ComputeCriticalPath(snaps []Snapshot) *CriticalPath {
 			break
 		}
 		if sp.End < t {
-			// Gap after the rank's previous activity: credit/blocked wait.
+			// Gap after the rank's previous activity: queue/blocked wait.
 			lo := max(sp.End, start)
 			step(rank, "idle", ClassWait, -1, lo, t)
 			t = lo

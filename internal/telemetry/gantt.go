@@ -9,7 +9,7 @@ import (
 // SpanStats summarises a span set: the wall-clock window it covers and
 // the per-track busy time. The two measure different things — Total is
 // last-end minus first-start (wall clock), Busy sums span durations per
-// name and can exceed Total when spans overlap (elastic workers) — which
+// name and can exceed Total when spans of one name overlap — which
 // is exactly the distinction the utilization helpers quantify.
 type SpanStats struct {
 	// First is the earliest span start, the origin the Gantt normalises to.
@@ -44,8 +44,8 @@ func ComputeSpanStats(spans []Span) SpanStats {
 }
 
 // Idle returns Total − Busy[name], clamped at zero: the wall-clock time
-// the named track spent waiting rather than working. For an elastic track
-// whose Busy exceeds Total (overlapping workers) idle time is zero.
+// the named track spent waiting rather than working. For a track whose
+// Busy exceeds Total (overlapping spans) idle time is zero.
 func (st SpanStats) Idle(name string) time.Duration {
 	idle := st.Total - st.Busy[name]
 	if idle < 0 {
@@ -54,8 +54,8 @@ func (st SpanStats) Idle(name string) time.Duration {
 	return idle
 }
 
-// Utilization returns Busy[name]/Total (0 when the window is empty). An
-// elastic track can exceed 1: N workers busy concurrently approach N.
+// Utilization returns Busy[name]/Total (0 when the window is empty). A
+// track with N spans open at once can exceed 1 and approach N.
 func (st SpanStats) Utilization(name string) float64 {
 	if st.Total <= 0 {
 		return 0

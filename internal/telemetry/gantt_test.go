@@ -29,7 +29,7 @@ func TestComputeSpanStats(t *testing.T) {
 	if st.Idle("load") != ms(6) {
 		t.Fatalf("Idle(load) = %v, want 6ms", st.Idle("load"))
 	}
-	// Busy > Total (elastic overlap) clamps idle to zero.
+	// Busy > Total (overlapping spans) clamps idle to zero.
 	if st.Idle("bp") != 0 {
 		t.Fatalf("Idle(bp) = %v, want 0", st.Idle("bp"))
 	}

@@ -1,7 +1,7 @@
 // Package telemetry is the run-wide observability layer of the framework:
 // a run-scoped registry of typed counters, gauges and fixed-bucket
 // histograms plus a structured span recorder that every layer reports
-// into — pipeline stages and elastic credit waits, projection-ring loads
+// into — pipeline stages, projection-ring loads
 // and evictions, collective latency and bytes, retry attempts and backoff
 // sleeps, slab/journal I/O. Per-rank registries share one epoch (a Run) so
 // their spans align on a common timeline, snapshots aggregate into
